@@ -199,7 +199,7 @@ let occupancy_to_json (r : Tawa_analysis.Statcheck.report) =
                 (List.map
                    (fun (it : Tawa_analysis.Footprint.smem_item) ->
                      Obj
-                       [ ("label", Str it.Tawa_analysis.Footprint.label);
+                       [ ("label", Str (Tawa_analysis.Footprint.label it));
                          ("bytes", Int it.Tawa_analysis.Footprint.item_bytes);
                          ("copies", Int it.Tawa_analysis.Footprint.copies) ])
                    r.smem_items) ) ] );
@@ -252,7 +252,7 @@ let do_occupancy path kernel_name d p coop persistent coarse obs =
           List.iter
             (fun (it : Tawa_analysis.Footprint.smem_item) ->
               Printf.printf "  smem %-28s %6d B x%d\n"
-                it.Tawa_analysis.Footprint.label it.Tawa_analysis.Footprint.item_bytes
+                (Tawa_analysis.Footprint.label it) it.Tawa_analysis.Footprint.item_bytes
                 it.Tawa_analysis.Footprint.copies)
             r.smem_items;
           Printf.printf "  total: %d B SMEM, %d registers\n" r.smem_bytes r.total_regs;

@@ -38,7 +38,8 @@ type part = {
 }
 
 type smem_item = {
-  label : string;
+  kind : string;  (** "aref ring", "local_alloc" or "tma scratch" *)
+  op_id : int;  (** [oid] of the op that owns the buffer *)
   item_bytes : int;  (** one copy *)
   copies : int;  (** stream replication factor *)
 }
@@ -48,6 +49,9 @@ type t = {
   smem_items : smem_item list;
   smem_bytes : int;  (** total static SMEM, all copies *)
 }
+
+(** ["<kind> {id = <op_id>}"], matching [Printer.kernel_to_string ~ids:true]. *)
+let label it = Printf.sprintf "%s {id = %d}" it.kind it.op_id
 
 let bytes_of v = Types.size_bytes (Value.ty v)
 let is_tile v = Types.is_tensor (Value.ty v)
@@ -182,11 +186,16 @@ let max_live (k : Kernel.t) : (int, int) Hashtbl.t =
 
 (* --------------------------- SMEM model --------------------------- *)
 
+(* Items name their op by its pre-order position in [k.body], not its
+   [oid]: the result is then a function of the kernel structure alone,
+   as the memo in {!compute} requires. *)
 let smem_model (k : Kernel.t) (graph : Graph.t) ~(num_streams : int) :
     smem_item list =
   let items = ref [] in
-  let add label bytes copies =
-    if bytes > 0 then items := { label; item_bytes = bytes; copies } :: !items
+  let pos = ref (-1) in
+  let add kind bytes copies =
+    if bytes > 0 then
+      items := { kind; op_id = !pos; item_bytes = bytes; copies } :: !items
   in
   let top = Hashtbl.create 64 in
   List.iter
@@ -202,6 +211,7 @@ let smem_model (k : Kernel.t) (graph : Graph.t) ~(num_streams : int) :
   let copies_of op = if Hashtbl.mem top op.Op.oid then num_streams else 1 in
   Op.iter_region
     (fun op ->
+      incr pos;
       match op.Op.opcode with
       | Op.Aref_create depth ->
         let payload =
@@ -213,14 +223,12 @@ let smem_model (k : Kernel.t) (graph : Graph.t) ~(num_streams : int) :
           | _ -> []
         in
         let slot = List.fold_left (fun s ty -> s + Types.size_bytes ty) 0 payload in
-        add
-          (Printf.sprintf "aref ring {id = %d}" op.Op.oid)
-          (depth * slot) 1
+        add "aref ring" (depth * slot) 1
       | Op.Local_alloc ->
         let bytes =
           match op.Op.operands with v :: _ -> bytes_of v | [] -> 0
         in
-        add (Printf.sprintf "local_alloc {id = %d}" op.Op.oid) bytes (copies_of op)
+        add "local_alloc" bytes (copies_of op)
       | Op.Tma_load ->
         let deferred =
           match op.Op.results with
@@ -234,9 +242,7 @@ let smem_model (k : Kernel.t) (graph : Graph.t) ~(num_streams : int) :
           let bytes =
             match op.Op.results with r :: _ -> bytes_of r | [] -> 0
           in
-          add
-            (Printf.sprintf "tma scratch {id = %d}" op.Op.oid)
-            bytes (copies_of op)
+          add "tma scratch" bytes (copies_of op)
       | _ -> ())
     k.Kernel.body;
   List.rev !items
@@ -258,7 +264,9 @@ let stream_roles (k : Kernel.t) : Op.wg_role list =
       (fun i _ -> try List.nth roles i with _ -> Op.Consumer)
       wgop.Op.regions
 
-let compute (k : Kernel.t) : t =
+(** The unmemoized model. Its SMEM items name ops by pre-order
+    position rather than [oid]; {!compute} maps them back. *)
+let compute_structural (k : Kernel.t) : t =
   let graph = Graph.build k.Kernel.body in
   let roles = stream_roles k in
   let num_streams = List.length roles in
@@ -305,3 +313,31 @@ let compute (k : Kernel.t) : t =
     List.fold_left (fun s it -> s + (it.item_bytes * it.copies)) 0 smem_items
   in
   { parts; smem_items; smem_bytes }
+
+(* The footprint is a pure function of the kernel structure, and sweeps
+   size the same few hundred kernels thousands of times (every compile
+   miss runs statcheck, then the caller asks again for its pruning
+   verdict), so it is memoized on {!Progcache.kernel_fingerprint}. The
+   memo follows the process-wide {!Progcache.set_enabled} switch and is
+   emptied by [Flow.clear_cache]. *)
+let memo : t Progcache.t = Progcache.create ~name:"statcheck.footprint" ()
+
+(* Turn the structural op positions of the SMEM items into the [oid]s
+   of [k]'s own ops. *)
+let rebase (k : Kernel.t) (fp : t) : t =
+  if fp.smem_items = [] then fp
+  else
+    let oids =
+      Array.of_list (List.rev (Op.fold_region (fun acc o -> o.Op.oid :: acc) [] k.Kernel.body))
+    in
+    { fp with
+      smem_items = List.map (fun it -> { it with op_id = oids.(it.op_id) }) fp.smem_items }
+
+(** The static footprint of [k]; a kernel whose structure was sized
+    before is served from {!memo}. *)
+let compute (k : Kernel.t) : t =
+  rebase k
+    (if Progcache.is_enabled () then
+       Progcache.find_or_add memo ~key:(Progcache.kernel_fingerprint k) (fun () ->
+           compute_structural k)
+     else compute_structural k)

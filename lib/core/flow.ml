@@ -69,7 +69,11 @@ let cache : cache_entry Progcache.t = Progcache.create ~name:"flow.compile" ()
 (** Hit/miss counters of the compiled-program cache. *)
 let cache_stats () = Progcache.stats cache
 
-let clear_cache () = Progcache.clear cache
+(** Empty the compile cache and the statcheck footprint memo, so the
+    next compile and occupancy query of any kernel are cold. *)
+let clear_cache () =
+  Progcache.clear cache;
+  Progcache.clear Tawa_analysis.Footprint.memo
 
 let options_key (o : options) =
   Printf.sprintf "d%d.p%d.c%d.%b.%b.%s" o.aref_depth o.mma_depth

@@ -5,13 +5,16 @@
     autotune candidate re-runs the full pass stack + codegen). This
     module memoizes [kernel fingerprint x config -> compiled artifact].
 
-    The fingerprint is content-based: the kernel's canonical printed
-    form with SSA value names renumbered by first occurrence, so two
-    structurally identical kernels built at different times (with
-    different global value ids) hash identically. Kernel attributes and
-    parameter/result types are part of the printed form, so changing any
-    attribute misses the cache; the caller appends its own option
-    encoding to the key so changing any config field misses too.
+    The fingerprint is content-based: a direct walk over the kernel
+    structure ({!kernel_fingerprint}) with SSA values renumbered by
+    first occurrence, so two structurally identical kernels built at
+    different times (with different global value ids) hash identically.
+    Kernel attributes, parameter/result types and constants (floats by
+    their bits) are part of the walk, so changing any of them misses
+    the cache; the caller appends its own option encoding to the key so
+    changing any config field misses too. The same table keys the
+    decode cache by {!program_fingerprint} and the statcheck footprint
+    memo by {!kernel_fingerprint}.
 
     The table is guarded by a mutex: parallel bench sweeps compile from
     several domains at once. Lookups and insertions are locked; a missed
@@ -121,48 +124,111 @@ let find_or_add c ~key f =
 
 (* ----------------------- kernel fingerprint ----------------------- *)
 
-let is_ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-  | _ -> false
+(* The fingerprint encoding. Ints are zigzag varints (prefix-free, one
+   byte for the small values that dominate), float bits are fixed-width,
+   every string and list is length-prefixed and every variant carries a
+   tag, so the byte stream is an injective function of the kernel
+   structure (modulo SSA value ids, which are renumbered densely). The
+   digest is most of the cost, so the stream is kept short. *)
 
-(** Canonicalize a printed kernel: every SSA value token ([%name_id])
-    is renumbered by first occurrence, erasing the global value-id
-    counter so structurally identical kernels print identically. *)
-let canonicalize_printed s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '%' then begin
-      let j = ref (!i + 1) in
-      while !j < n && is_ident_char s.[!j] do
-        incr j
-      done;
-      let tok = String.sub s !i (!j - !i) in
-      let id =
-        match Hashtbl.find_opt ids tok with
-        | Some id -> id
-        | None ->
-          let id = Hashtbl.length ids in
-          Hashtbl.add ids tok id;
-          id
-      in
-      Buffer.add_string buf "%v";
-      Buffer.add_string buf (string_of_int id);
-      i := !j
-    end
+let add_int b i =
+  let rec go z =
+    if z land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr z)
     else begin
-      Buffer.add_char buf s.[!i];
-      incr i
+      Buffer.add_char b (Char.unsafe_chr (0x80 lor (z land 0x7f)));
+      go (z lsr 7)
     end
-  done;
-  Buffer.contents buf
+  in
+  go ((i lsl 1) lxor (i asr (Sys.int_size - 1)))
 
-(** Content fingerprint of a kernel: digest of its canonicalized
-    printed form (ops, types, attributes — everything codegen sees). *)
+let add_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
+
+let add_str b s =
+  add_int b (String.length s);
+  Buffer.add_string b s
+
+let add_list b f l =
+  add_int b (List.length l);
+  List.iter f l
+
+let add_dtype b (d : Tawa_tensor.Dtype.t) = add_str b (Tawa_tensor.Dtype.to_string d)
+
+let rec add_ty b (t : Types.ty) =
+  match t with
+  | Types.TScalar d -> Buffer.add_char b 's'; add_dtype b d
+  | Types.TPtr d -> Buffer.add_char b 'p'; add_dtype b d
+  | Types.TTensor { shape; dtype } ->
+    Buffer.add_char b 't'; add_list b (add_int b) shape; add_dtype b dtype
+  | Types.TMemDesc { shape; dtype } ->
+    Buffer.add_char b 'm'; add_list b (add_int b) shape; add_dtype b dtype
+  | Types.TTensorDesc { dims; dtype } -> Buffer.add_char b 'd'; add_int b dims; add_dtype b dtype
+  | Types.TAref { payload; depth } ->
+    Buffer.add_char b 'a'; add_list b (add_ty b) payload; add_int b depth
+  | Types.TToken -> Buffer.add_char b 'k'
+
+let add_attr b ((key, a) : string * Op.attr) =
+  add_str b key;
+  match a with
+  | Op.Attr_int i -> Buffer.add_char b 'i'; add_int b i
+  | Op.Attr_float f -> Buffer.add_char b 'f'; add_float b f
+  | Op.Attr_string s -> Buffer.add_char b 's'; add_str b s
+  | Op.Attr_bool v -> Buffer.add_char b (if v then 'T' else 'F')
+  | Op.Attr_ints l -> Buffer.add_char b 'l'; add_list b (add_int b) l
+  | Op.Attr_dtype d -> Buffer.add_char b 'd'; add_dtype b d
+
+(* [opcode_name] is injective except on the two constants; the payload
+   (an axis, depth or pending count) follows the name. *)
+let add_opcode b (o : Op.opcode) =
+  add_str b (Op.opcode_name o);
+  match o with
+  | Op.Const_int i -> Buffer.add_char b 'i'; add_int b i
+  | Op.Const_float f -> Buffer.add_char b 'f'; add_float b f
+  | Op.Program_id a | Op.Num_programs a | Op.Expand_dims a | Op.Reduce (_, a)
+  | Op.Aref_create a | Op.Wgmma_wait a ->
+    add_int b a
+  | _ -> ()
+
+(** Content fingerprint of a kernel: the digest of a walk over
+    everything codegen sees — the kernel name, parameter types and
+    attributes, then per region, block and op the block parameters and
+    results with their types, the opcode and its payload, the operands
+    and the attributes. SSA values are numbered by first occurrence in
+    walk order, so structurally identical kernels built at different
+    times (different global value ids, value hints or op ids)
+    fingerprint equal. Value hints are left out too: they only name
+    buffers and barriers in the lowered program, so a hit may carry the
+    names of the compile that filled the entry. Floats enter by their
+    IEEE bits ([Int64.bits_of_float]), never by a printed form, so
+    constants one ulp apart fingerprint differently. *)
 let kernel_fingerprint (k : Kernel.t) =
-  Digest.to_hex (Digest.string (canonicalize_printed (Printer.kernel_to_string k)))
+  let b = Buffer.create 4096 in
+  let ids = Value.Tbl.create 64 in
+  let use v =
+    add_int b
+      (match Value.Tbl.find_opt ids v with
+      | Some n -> n
+      | None ->
+        let n = Value.Tbl.length ids in
+        Value.Tbl.add ids v n;
+        n)
+  in
+  let def v = use v; add_ty b (Value.ty v) in
+  let rec region (r : Op.region) = add_list b block r.Op.blocks
+  and block (blk : Op.block) =
+    add_list b def blk.Op.params;
+    add_list b op blk.Op.ops
+  and op (o : Op.op) =
+    add_list b def o.Op.results;
+    add_opcode b o.Op.opcode;
+    add_list b use o.Op.operands;
+    add_list b (add_attr b) o.Op.attrs;
+    add_list b region o.Op.regions
+  in
+  add_str b k.Kernel.name;
+  add_list b def k.Kernel.params;
+  add_list b (add_attr b) k.Kernel.attrs;
+  region k.Kernel.body;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (** Content fingerprint of a machine program: digest of its marshalled
     form. [Isa.program] is pure data (no closures, no cycles), and

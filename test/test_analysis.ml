@@ -52,7 +52,7 @@ let test_clean_baselines () =
 let test_clean_examples () =
   List.iter
     (fun name ->
-      let path = Filename.concat "../examples/kernels" name in
+      let path = Test_examples.path name in
       List.iter
         (fun k ->
           check_flow (name ^ " @" ^ k.Kernel.name) (Flow.compile ~options:(flow_opts ()) k))

@@ -7,10 +7,24 @@ open Tawa_ir
 open Tawa_frontend
 open Tawa_gpusim
 
-let kernels_dir = "../examples/kernels"
+(* Resolved from the test executable rather than the working
+   directory: dune copies the examples next to the build tree
+   ([_build/default/examples]), and the source tree sits three levels
+   above the executable, so the suite runs the same from anywhere. *)
+let kernels_dir =
+  let exe_dir = Filename.dirname Sys.executable_name in
+  let candidates =
+    [ Filename.concat exe_dir "../examples/kernels";
+      Filename.concat exe_dir "../../../examples/kernels" ]
+  in
+  match List.find_opt (fun d -> Sys.file_exists (Filename.concat d "gemm.tw")) candidates with
+  | Some d -> d
+  | None -> List.hd candidates
+
+let path name = Filename.concat kernels_dir name
 
 let load name =
-  match Elaborate.compile_file (Filename.concat kernels_dir name) with
+  match Elaborate.compile_file (path name) with
   | [ k ] -> k
   | ks -> Alcotest.failf "%s: expected one kernel, got %d" name (List.length ks)
 
