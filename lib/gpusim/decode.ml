@@ -865,11 +865,10 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     in
     let c = tile_cost ~elems ~per_cycle in
     if functional then begin
-      let f = Interp.float_unop op in
       let ts = tget src in
       fun _ctx w ->
         spend w b_compute c;
-        set_tensor w.planes dst (Tensor.map f (ts w.planes));
+        set_tensor w.planes dst (Interp.tile_unop op (ts w.planes));
         w.pc <- w.pc + 1
     end
     else
@@ -880,12 +879,11 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
   | Isa.Tile_binop { op; dst; a; b; elems } ->
     let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then begin
-      let f = Interp.float_binop op in
       let ta = tget a and tb = tget b in
       fun _ctx w ->
         spend w b_compute c;
         let p = w.planes in
-        set_tensor p dst (Tensor.map2 f (ta p) (tb p));
+        set_tensor p dst (Interp.tile_binop op (ta p) (tb p));
         w.pc <- w.pc + 1
     end
     else
@@ -896,12 +894,11 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
   | Isa.Tile_cmp { op; dst; a; b; elems } ->
     let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then begin
-      let pred : float -> float -> bool = fun x y -> Interp.cmp_pred op x y in
       let ta = tget a and tb = tget b in
       fun _ctx w ->
         spend w b_compute c;
         let p = w.planes in
-        set_tensor p dst (Tensor.cmp pred (ta p) (tb p));
+        set_tensor p dst (Interp.tile_cmp op (ta p) (tb p));
         w.pc <- w.pc + 1
     end
     else
@@ -916,7 +913,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       fun _ctx w ->
         spend w b_compute c;
         let p = w.planes in
-        set_tensor p dst (Tensor.select (tc p) (ta p) (tb p));
+        set_tensor p dst (Interp.tile_select (tc p) (ta p) (tb p));
         w.pc <- w.pc + 1
     end
     else
@@ -961,8 +958,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     if functional then
       fun _ctx w ->
         spend w b_compute c;
-        set_tensor w.planes dst
-          (Tensor.init ~dtype:Dtype.I32 [| n |] (fun i -> Float.of_int i.(0)));
+        set_tensor w.planes dst (Interp.tile_iota n);
         w.pc <- w.pc + 1
     else
       fun _ctx w ->

@@ -427,7 +427,7 @@ let step cta wg =
     trace cta (wg_unit wg) wg.time (wg.time +. c) ("cuda " ^ Op.unop_to_string op);
     spend wg b_compute c;
     if functional then
-      reg_write wg dst (Rtensor (Tensor.map (Interp.float_unop op) (as_tensor wg src)))
+      reg_write wg dst (Rtensor (Interp.tile_unop op (as_tensor wg src)))
     else tile_default dst;
     advance ();
     true
@@ -437,7 +437,7 @@ let step cta wg =
     spend wg b_compute c;
     if functional then
       reg_write wg dst
-        (Rtensor (Tensor.map2 (Interp.float_binop op) (as_tensor wg a) (as_tensor wg b)))
+        (Rtensor (Interp.tile_binop op (as_tensor wg a) (as_tensor wg b)))
     else tile_default dst;
     advance ();
     true
@@ -445,7 +445,7 @@ let step cta wg =
     spend wg b_compute (tile_cost cfg coop ~elems ~per_cycle:cfg.cuda_elems_per_cycle);
     if functional then
       reg_write wg dst
-        (Rtensor (Tensor.cmp (Interp.cmp_pred op) (as_tensor wg a) (as_tensor wg b)))
+        (Rtensor (Interp.tile_cmp op (as_tensor wg a) (as_tensor wg b)))
     else tile_default dst;
     advance ();
     true
@@ -454,7 +454,7 @@ let step cta wg =
     if functional then
       reg_write wg dst
         (Rtensor
-           (Tensor.select (as_tensor wg cond) (as_tensor wg a) (as_tensor wg b)))
+           (Interp.tile_select (as_tensor wg cond) (as_tensor wg a) (as_tensor wg b)))
     else tile_default dst;
     advance ();
     true
@@ -479,7 +479,7 @@ let step cta wg =
     spend wg b_compute (tile_cost cfg coop ~elems:n ~per_cycle:cfg.cuda_elems_per_cycle);
     if functional then
       reg_write wg dst
-        (Rtensor (Tensor.init ~dtype:Dtype.I32 [| n |] (fun i -> Float.of_int i.(0))))
+        (Rtensor (Interp.tile_iota n))
     else tile_default dst;
     advance ();
     true

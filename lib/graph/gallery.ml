@@ -193,7 +193,13 @@ let split_k () : demo =
         let sum =
           match prefs with
           | first :: rest ->
-            List.fold_left (fun acc p -> Tensor.map2 ( +. ) acc p) first rest
+            List.iter
+              (fun p ->
+                for i = 0 to Tensor.numel first - 1 do
+                  Tensor.set_flat first i (Tensor.get_flat first i +. Tensor.get_flat p i)
+                done)
+              rest;
+            first
           | [] -> assert false
         in
         [ ("c", sum) ]);

@@ -114,51 +114,198 @@ let cmp_pred kind a b =
   match (kind : Op.cmp) with
   | Eq -> a = b | Ne -> a <> b | Lt -> a < b | Le -> a <= b | Gt -> a > b | Ge -> a >= b
 
-(** Broadcast a tensor whose some dims are 1 to [shape]. *)
+(* ------------------------- tile kernels ---------------------------
+   First-order tile kernels, shared by all three executors: this
+   interpreter, the reference engine ([Sim.step]) and the decoded
+   engine's functional closures. Each kernel checks shapes once up
+   front, dispatches on its opcode once per tile (not per element),
+   computes in raw float space with unchecked indexing, and ends with
+   one quantize pass through the result dtype ([Tensor.requantize]).
+   Per element it performs the same IEEE operations, in the same order,
+   as the scalar semantics above ([float_binop], [float_unop],
+   [cmp_pred]) followed by a quantizing store, so every output is
+   bit-identical to a closure-per-element loop; the tensor property
+   suite pins each kernel against that oracle. *)
+
+let[@inline] ( .%() ) (a : float array) i = Array.unsafe_get a i
+let[@inline] ( .%()<- ) (a : float array) i (v : float) = Array.unsafe_set a i v
+
+(* [Float.max]/[Float.min] with the ordered cases settled by one
+   comparison each, so only equal operands (signed zeros) and NaN reach
+   the library rule and its sign-bit calls; the result is the same for
+   every input. *)
+let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
+let[@inline] fmin x y = if y < x then y else if x < y then x else Float.min x y
+
+let check_shapes name (a : Tensor.t) (b : Tensor.t) =
+  if not (Tensor.shape_equal a b) then
+    invalid_arg (Printf.sprintf "Interp.%s: shape mismatch" name)
+
+(** Elementwise [a op b]; the result has [a]'s dtype. *)
+let tile_binop kind (a : Tensor.t) (b : Tensor.t) =
+  check_shapes "tile_binop" a b;
+  let out = Tensor.create ~dtype:a.Tensor.dtype a.Tensor.shape in
+  let x = a.Tensor.data and y = b.Tensor.data and d = out.Tensor.data in
+  let last = Array.length d - 1 in
+  (match (kind : Op.binop) with
+  | Add -> for i = 0 to last do d.%(i) <- x.%(i) +. y.%(i) done
+  | Sub -> for i = 0 to last do d.%(i) <- x.%(i) -. y.%(i) done
+  | Mul -> for i = 0 to last do d.%(i) <- x.%(i) *. y.%(i) done
+  | Div -> for i = 0 to last do d.%(i) <- x.%(i) /. y.%(i) done
+  | Rem -> for i = 0 to last do d.%(i) <- Float.rem x.%(i) y.%(i) done
+  | Min -> for i = 0 to last do d.%(i) <- fmin x.%(i) y.%(i) done
+  | Max -> for i = 0 to last do d.%(i) <- fmax x.%(i) y.%(i) done
+  | And ->
+    for i = 0 to last do
+      d.%(i) <- Float.of_int (int_of_float x.%(i) land int_of_float y.%(i))
+    done
+  | Or ->
+    for i = 0 to last do
+      d.%(i) <- Float.of_int (int_of_float x.%(i) lor int_of_float y.%(i))
+    done
+  | Xor ->
+    for i = 0 to last do
+      d.%(i) <- Float.of_int (int_of_float x.%(i) lxor int_of_float y.%(i))
+    done);
+  Tensor.requantize out;
+  out
+
+(** Elementwise [op t], at [t]'s dtype. *)
+let tile_unop kind (t : Tensor.t) =
+  let out = Tensor.create ~dtype:t.Tensor.dtype t.Tensor.shape in
+  let x = t.Tensor.data and d = out.Tensor.data in
+  let last = Array.length d - 1 in
+  (match (kind : Op.unop) with
+  | Neg -> for i = 0 to last do d.%(i) <- -.x.%(i) done
+  | Exp -> for i = 0 to last do d.%(i) <- Float.exp x.%(i) done
+  | Exp2 -> for i = 0 to last do d.%(i) <- Float.exp2 x.%(i) done
+  | Log -> for i = 0 to last do d.%(i) <- Float.log x.%(i) done
+  | Log2 -> for i = 0 to last do d.%(i) <- Float.log x.%(i) /. Float.log 2.0 done
+  | Sqrt -> for i = 0 to last do d.%(i) <- Float.sqrt x.%(i) done
+  | Rsqrt -> for i = 0 to last do d.%(i) <- 1.0 /. Float.sqrt x.%(i) done
+  | Abs -> for i = 0 to last do d.%(i) <- Float.abs x.%(i) done
+  | Not -> for i = 0 to last do d.%(i) <- (if x.%(i) <> 0.0 then 0.0 else 1.0) done);
+  Tensor.requantize out;
+  out
+
+(** Elementwise predicate into a fresh I1 mask (already quantized:
+    every element is 0.0 or 1.0). *)
+let tile_cmp kind (a : Tensor.t) (b : Tensor.t) =
+  check_shapes "tile_cmp" a b;
+  let out = Tensor.create ~dtype:Dtype.I1 a.Tensor.shape in
+  let x = a.Tensor.data and y = b.Tensor.data and d = out.Tensor.data in
+  let last = Array.length d - 1 in
+  let[@inline] b2f c = if c then 1.0 else 0.0 in
+  (match (kind : Op.cmp) with
+  | Eq -> for i = 0 to last do d.%(i) <- b2f (x.%(i) = y.%(i)) done
+  | Ne -> for i = 0 to last do d.%(i) <- b2f (x.%(i) <> y.%(i)) done
+  | Lt -> for i = 0 to last do d.%(i) <- b2f (x.%(i) < y.%(i)) done
+  | Le -> for i = 0 to last do d.%(i) <- b2f (x.%(i) <= y.%(i)) done
+  | Gt -> for i = 0 to last do d.%(i) <- b2f (x.%(i) > y.%(i)) done
+  | Ge -> for i = 0 to last do d.%(i) <- b2f (x.%(i) >= y.%(i)) done);
+  out
+
+(** Elementwise select: where [cond] is nonzero take [a], else [b]. The
+    result has [a]'s dtype, so [b]'s elements requantize through it. *)
+let tile_select (cond : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
+  check_shapes "tile_select" cond a;
+  check_shapes "tile_select" a b;
+  let out = Tensor.create ~dtype:a.Tensor.dtype a.Tensor.shape in
+  let c = cond.Tensor.data and x = a.Tensor.data and y = b.Tensor.data in
+  let d = out.Tensor.data in
+  for i = 0 to Array.length d - 1 do
+    d.%(i) <- (if c.%(i) <> 0.0 then x.%(i) else y.%(i))
+  done;
+  Tensor.requantize out;
+  out
+
+(** [0, 1, ..., n-1] as an I32 vector. *)
+let tile_iota n =
+  let out = Tensor.create ~dtype:Dtype.I32 [| n |] in
+  let d = out.Tensor.data in
+  for i = 0 to n - 1 do
+    d.%(i) <- Float.of_int i
+  done;
+  out
+
+(** Broadcast [t] to [shape]: same rank, every source dim either 1 or
+    the target's. Same dtype, so elements copy raw. *)
 let broadcast_to (t : Tensor.t) (shape : int list) =
   let target = Array.of_list shape in
-  let src_shape = Tensor.shape t in
-  let out = Tensor.create ~dtype:(Tensor.dtype t) target in
+  let src = t.Tensor.shape in
   let n = Array.length target in
-  let idx = Array.make n 0 in
-  let src_idx = Array.make n 0 in
-  let total = Array.fold_left ( * ) 1 target in
-  for lin = 0 to total - 1 do
-    let r = ref lin in
-    for i = n - 1 downto 0 do
-      idx.(i) <- !r mod target.(i);
-      r := !r / target.(i)
-    done;
-    for i = 0 to n - 1 do
-      src_idx.(i) <- (if src_shape.(i) = 1 then 0 else idx.(i))
-    done;
-    Tensor.set_flat out lin (Tensor.get t src_idx)
-  done;
+  if
+    Array.length src <> n
+    || not (Array.for_all2 (fun s d -> s = 1 || s = d) src target)
+  then invalid_arg "Interp.broadcast_to: incompatible shapes";
+  let out = Tensor.create ~dtype:t.Tensor.dtype target in
+  let s = t.Tensor.data and d = out.Tensor.data in
+  if n = 2 then begin
+    let rows = target.(0) and cols = target.(1) in
+    if src.(1) <> 1 then
+      (* Row broadcast (or none): each output row copies a source row. *)
+      for i = 0 to rows - 1 do
+        Array.blit s (if src.(0) = 1 then 0 else i * cols) d (i * cols) cols
+      done
+    else
+      (* Column broadcast: output row [i] is source element [i] (or the
+         single source element). *)
+      for i = 0 to rows - 1 do
+        Array.fill d (i * cols) cols s.(if src.(0) = 1 then 0 else i)
+      done
+  end
+  else begin
+    (* Any rank: decode each output index, with stride 0 on broadcast
+       dims. *)
+    let strides =
+      Array.mapi (fun i st -> if src.(i) = 1 then 0 else st) t.Tensor.strides
+    in
+    for lin = 0 to Array.length d - 1 do
+      let r = ref lin and off = ref 0 in
+      for i = n - 1 downto 0 do
+        off := !off + (!r mod target.(i) * strides.(i));
+        r := !r / target.(i)
+      done;
+      d.%(lin) <- s.%(!off)
+    done
+  end;
   out
 
 let reduce_tensor kind axis (t : Tensor.t) =
   let shape = Tensor.shape t in
   let n = Array.length shape in
+  if axis < 0 || axis >= n then invalid_arg "Interp.reduce_tensor: bad axis";
   let out_shape =
     Array.of_list (List.filteri (fun i _ -> i <> axis) (Array.to_list shape))
   in
+  let dtype = Tensor.dtype t in
   let init, f =
     match (kind : Op.reduce_kind) with
     | Red_max -> (Float.neg_infinity, Float.max)
     | Red_min -> (Float.infinity, Float.min)
     | Red_sum -> (0.0, ( +. ))
   in
-  let out = Tensor.create ~dtype:(Tensor.dtype t) out_shape in
+  let out = Tensor.create ~dtype out_shape in
   if axis = n - 1 then begin
-    (* Innermost axis: each output element folds one contiguous span.
-       [reduce_slice] requantizes the accumulator through the dtype at
-       every step, exactly as folding through the stored output cell
-       below does, so both paths are bit-identical. *)
+    (* Innermost axis: each output element folds one contiguous span,
+       requantizing the accumulator at every step as folding through a
+       stored output cell does. [Float.max]/[Float.min] return one of
+       their (already quantized) arguments, so for them, and for F32
+       sums, that requantize is the identity and the fold is a raw
+       loop; only narrow-dtype sums round per step. *)
     let klen = shape.(axis) in
-    let init = Tensor.quantize (Tensor.dtype t) init in
-    for g = 0 to Tensor.numel out - 1 do
-      Tensor.set_flat out g
-        (Tensor.reduce_slice f ~init t ~off:(g * klen) ~len:klen)
+    let init = Tensor.quantize dtype init in
+    let s = t.Tensor.data and d = out.Tensor.data in
+    for g = 0 to Array.length d - 1 do
+      let off = g * klen in
+      let acc = ref init in
+      (match kind with
+      | Red_max -> for i = off to off + klen - 1 do acc := fmax !acc s.%(i) done
+      | Red_min -> for i = off to off + klen - 1 do acc := fmin !acc s.%(i) done
+      | Red_sum when dtype = Dtype.F32 ->
+        for i = off to off + klen - 1 do acc := !acc +. s.%(i) done
+      | Red_sum -> acc := Tensor.reduce_slice f ~init t ~off ~len:klen);
+      d.%(g) <- !acc
     done
   end
   else begin
@@ -181,27 +328,52 @@ let reduce_tensor kind axis (t : Tensor.t) =
   end;
   out
 
-(* k-outer row-axpy MMA: seed an f32 accumulator row from [acc], fold
-   B's contiguous rows in with bulk [Tensor.axpy_raw], and quantize
-   once on store. Per output element the add sequence (p ascending)
-   and the single final quantize are identical to the i-j-p loop, so
-   the result is bit-identical; the inner loop is contiguous. *)
+(** [acc + a b] at [acc]'s dtype, as a register-blocked micro-kernel:
+    four output columns of a row accumulate in locals while [p] walks
+    A's row and B's column. The order contract, which every executor
+    and the oracle share: per output element, start from the [acc]
+    element, add [a.(i,p) *. b.(p,j)] for [p] ascending as a separate
+    multiply and add (never a fused multiply-add), and quantize once on
+    store. *)
 let dot_tiles (a : Tensor.t) (b : Tensor.t) (acc : Tensor.t) =
+  if Tensor.rank a <> 2 || Tensor.rank b <> 2 || Tensor.rank acc <> 2 then
+    invalid_arg "Interp.dot_tiles: rank <> 2";
   let m = Tensor.dim a 0 and k = Tensor.dim a 1 and n = Tensor.dim b 1 in
-  let out = Tensor.copy acc in
-  let sa = a.Tensor.strides.(0)
-  and sb = b.Tensor.strides.(0)
-  and so = out.Tensor.strides.(0) in
-  let buf = Array.make n 0.0 in
+  if Tensor.dim b 0 <> k || Tensor.dim acc 0 <> m || Tensor.dim acc 1 <> n then
+    invalid_arg "Interp.dot_tiles: shape mismatch";
+  let out = Tensor.create ~dtype:acc.Tensor.dtype [| m; n |] in
+  let x = a.Tensor.data and y = b.Tensor.data and c = acc.Tensor.data in
+  let d = out.Tensor.data in
   for i = 0 to m - 1 do
-    Array.blit acc.Tensor.data (i * so) buf 0 n;
-    for p = 0 to k - 1 do
-      Tensor.axpy_raw
-        ~alpha:a.Tensor.data.((i * sa) + p)
-        b.Tensor.data ~soff:(p * sb) buf ~doff:0 ~len:n
+    let arow = i * k and orow = i * n in
+    for jb = 0 to (n / 4) - 1 do
+      let j = 4 * jb in
+      let o = orow + j in
+      let s0 = ref c.%(o) and s1 = ref c.%(o + 1)
+      and s2 = ref c.%(o + 2) and s3 = ref c.%(o + 3) in
+      let q = ref j in
+      for p = arow to arow + k - 1 do
+        let av = x.%(p) and bq = !q in
+        s0 := !s0 +. (av *. y.%(bq));
+        s1 := !s1 +. (av *. y.%(bq + 1));
+        s2 := !s2 +. (av *. y.%(bq + 2));
+        s3 := !s3 +. (av *. y.%(bq + 3));
+        q := bq + n
+      done;
+      d.%(o) <- !s0;
+      d.%(o + 1) <- !s1;
+      d.%(o + 2) <- !s2;
+      d.%(o + 3) <- !s3
     done;
-    Tensor.store_slice ~dst:out ~doff:(i * so) buf ~soff:0 ~len:n
+    for j = 4 * (n / 4) to n - 1 do
+      let s = ref c.%(orow + j) in
+      for p = 0 to k - 1 do
+        s := !s +. (x.%(arow + p) *. y.%((p * n) + j))
+      done;
+      d.%(orow + j) <- !s
+    done
   done;
+  Tensor.requantize out;
   out
 
 let result_dtype ty =
@@ -238,11 +410,11 @@ and exec_op ctx (op : Op.op) =
   | Op.Const_float f -> bind1 (RFloat f)
   | Op.Binop kind -> (
     match (operand 0, operand 1) with
-    | RTensor a, RTensor b -> bind1 (RTensor (Tensor.map2 (float_binop kind) a b))
+    | RTensor a, RTensor b -> bind1 (RTensor (tile_binop kind a b))
     | x, y -> bind1 (scalar_binop kind x y))
   | Op.Unop kind -> (
     match operand 0 with
-    | RTensor t -> bind1 (RTensor (Tensor.map (float_unop kind) t))
+    | RTensor t -> bind1 (RTensor (tile_unop kind t))
     | RFloat f -> bind1 (RFloat (float_unop kind f))
     | RInt i -> (
       match kind with
@@ -257,24 +429,12 @@ and exec_op ctx (op : Op.op) =
     | _ -> error "unop operand")
   | Op.Cmp kind -> (
     match (operand 0, operand 1) with
-    | RTensor a, RTensor b ->
-      let out = Tensor.create ~dtype:Dtype.I1 (Tensor.shape a) in
-      for i = 0 to Tensor.numel a - 1 do
-        Tensor.set_flat out i
-          (if cmp_pred kind (Tensor.get_flat a i) (Tensor.get_flat b i) then 1.0 else 0.0)
-      done;
-      bind1 (RTensor out)
+    | RTensor a, RTensor b -> bind1 (RTensor (tile_cmp kind a b))
     | RInt a, RInt b -> bind1 (RBool (cmp_pred kind a b))
     | x, y -> bind1 (RBool (cmp_pred kind (as_float x) (as_float y))))
   | Op.Select -> (
     match (operand 0, operand 1, operand 2) with
-    | RTensor c, RTensor x, RTensor y ->
-      let out = Tensor.create ~dtype:(Tensor.dtype x) (Tensor.shape x) in
-      for i = 0 to Tensor.numel x - 1 do
-        Tensor.set_flat out i
-          (if Tensor.get_flat c i <> 0.0 then Tensor.get_flat x i else Tensor.get_flat y i)
-      done;
-      bind1 (RTensor out)
+    | RTensor c, RTensor x, RTensor y -> bind1 (RTensor (tile_select c x y))
     | c, x, y -> bind1 (if as_bool c then x else y))
   | Op.Cast -> (
     let target = Value.ty (List.hd op.results) in
@@ -302,19 +462,14 @@ and exec_op ctx (op : Op.op) =
   | Op.Iota ->
     let target = Value.ty (List.hd op.results) in
     let n = List.hd (Option.get (Types.shape_of target)) in
-    bind1 (RTensor (Tensor.init ~dtype:Dtype.I32 [| n |] (fun i -> Float.of_int i.(0))))
+    bind1 (RTensor (tile_iota n))
   | Op.Broadcast ->
     let target = Value.ty (List.hd op.results) in
     bind1 (RTensor (broadcast_to (as_tensor (operand 0)) (Option.get (Types.shape_of target))))
   | Op.Expand_dims _ | Op.Reshape ->
     let target = Value.ty (List.hd op.results) in
-    let t = as_tensor (operand 0) in
     let shape = Array.of_list (Option.get (Types.shape_of target)) in
-    let out = Tensor.create ~dtype:(Tensor.dtype t) shape in
-    for i = 0 to Tensor.numel t - 1 do
-      Tensor.set_flat out i (Tensor.get_flat t i)
-    done;
-    bind1 (RTensor out)
+    bind1 (RTensor (Tensor.reshape (as_tensor (operand 0)) shape))
   | Op.Trans -> bind1 (RTensor (Tensor.transpose2 (as_tensor (operand 0))))
   | Op.Reduce (kind, axis) -> bind1 (RTensor (reduce_tensor kind axis (as_tensor (operand 0))))
   | Op.Dot | Op.Wgmma_issue ->
@@ -336,7 +491,7 @@ and exec_op ctx (op : Op.op) =
     | [ n ] ->
       let c0 = as_int (operand 1) in
       let tile = Tensor.slice2 ~dtype:d.dtype d.buffer ~r0:0 ~c0 ~rows:1 ~cols:n in
-      bind1 (RTensor (Tensor.init ~dtype:d.dtype [| n |] (fun i -> Tensor.get2 tile 0 i.(0))))
+      bind1 (RTensor (Tensor.reshape tile [| n |]))
     | _ -> error "tma_load: unsupported rank")
   | Op.Tma_store ->
     let d = as_desc (operand 0) in

@@ -3,8 +3,17 @@
     The simulator carries tile payloads as OCaml [float]s but quantizes
     them through this codec whenever a value is materialized with dtype
     f16, so that compiled kernels are verified against references at the
-    precision the hardware would use. Conversion from binary32 uses
-    round-to-nearest-even, matching [cvt.rn.f16.f32]. *)
+    precision the hardware would use.
+
+    Rounding rule: [of_float] models an FP32 value converted by
+    [cvt.rn.f16.f32]. It rounds twice, each step to nearest-even:
+    first binary64 -> binary32 (the value an FP32 register would hold),
+    then binary32 -> binary16. Two-step rounding is not the same as one
+    direct binary64 -> binary16 step: [1 + 2^-11 + 2^-40] first rounds
+    to the binary32 tie [1 + 2^-11], which then ties to even at [1.0],
+    while a single step would give [1 + 2^-10]. The simulator keeps the
+    two-step rule because the hardware it models converts FP32
+    accumulators, never binary64 values. *)
 
 (* A half-precision value is represented by its 16-bit pattern. *)
 type bits = int
@@ -21,6 +30,13 @@ let max_finite_bits : bits = 0x7bff (* 65504.0 *)
 let is_nan (h : bits) = h land 0x7fff > exp_mask
 let is_inf (h : bits) = h land 0x7fff = exp_mask
 
+(* [rne m shift] is [m lsr shift] rounded to nearest, ties to even,
+   without a data-dependent branch: adding [half - 1] plus the kept
+   lsb carries into the kept bits exactly when the discarded bits
+   exceed half, or equal half with an odd lsb. *)
+let[@inline] rne m shift =
+  (m + ((1 lsl (shift - 1)) - 1) + ((m lsr shift) land 1)) lsr shift
+
 (* Convert a single-precision bit pattern (as int, 32 significant bits)
    to a half-precision bit pattern with round-to-nearest-even. *)
 let of_float32_bits (x : int) : bits =
@@ -35,44 +51,50 @@ let of_float32_bits (x : int) : bits =
     if e' >= 31 then sign lor exp_mask (* overflow -> infinity *)
     else if e' <= 0 then
       if e' < -10 then sign (* underflows to signed zero *)
-      else begin
-        (* Subnormal half: shift the (implicit-1) mantissa right and
-           round to nearest even on the discarded bits. *)
-        let m = m lor 0x800000 in
-        let shift = 14 - e' in
-        let q = m lsr shift in
-        let rem = m land ((1 lsl shift) - 1) in
-        let half = 1 lsl (shift - 1) in
-        let q =
-          if rem > half || (rem = half && q land 1 = 1) then q + 1 else q
-        in
-        sign lor q
-      end
-    else begin
-      let q = m lsr 13 in
-      let rem = m land 0x1fff in
-      let base = sign lor (e' lsl 10) lor q in
-      (* A mantissa carry propagating into the exponent, possibly up to
-         infinity, is exactly what IEEE rounding requires. *)
-      if rem > 0x1000 || (rem = 0x1000 && q land 1 = 1) then base + 1
-      else base
-    end
+      else
+        (* Subnormal half: shift the (implicit-1) mantissa right; a
+           carry up to 0x400 is the smallest normal, as it should be. *)
+        sign lor rne (m lor 0x800000) (14 - e')
+    else
+      (* Exponent and mantissa round together: a mantissa carry
+         propagating into the exponent, possibly up to infinity, is
+         exactly what IEEE rounding requires. *)
+      sign lor rne ((e' lsl 23) lor m) 13
 
-let of_float (f : float) : bits =
-  (* Double -> single is itself RNE; the residual double-rounding error
-     cannot occur for binary16 because binary32 keeps 13 extra bits. *)
+(* Two-step rounding (see the module doc): [Int32.bits_of_float] is the
+   binary64 -> binary32 RNE step, [of_float32_bits] the second. *)
+let[@inline] of_float (f : float) : bits =
   of_float32_bits (Int32.to_int (Int32.bits_of_float f) land 0xffffffff)
 
-let to_float (h : bits) : float =
-  let sign = if h land sign_mask <> 0 then -1.0 else 1.0 in
+(* Weight of one mantissa unit at biased exponent [e]: 2^-24 for
+   subnormals (e = 0), 2^(e-25) for normals. Built with the decode
+   formula's own [2. ** ...] expressions, so every entry is the exact
+   value that formula scaled by; index 31 (inf/NaN) is never read. *)
+let unit_scale : float array =
+  Array.init 32 (fun e -> if e = 0 then 2. ** -24. else 2. ** Float.of_int (e - 25))
+
+(* The sign and the implicit bit are computed arithmetically rather than
+   branched on: a random payload's signs do not predict. *)
+let[@inline] to_float (h : bits) : float =
+  let sign = Float.of_int (1 - ((h lsr 14) land 2)) in
   let e = (h lsr 10) land 0x1f in
   let m = h land man_mask in
   if e = 31 then if m <> 0 then Float.nan else sign *. Float.infinity
-  else if e = 0 then sign *. Float.of_int m *. (2. ** -24.)
-  else sign *. Float.of_int (m lor 0x400) *. (2. ** Float.of_int (e - 25))
+  else
+    let m = m lor (((e + 31) lsr 5) lsl 10) in
+    sign *. Float.of_int m *. Array.unsafe_get unit_scale e
 
 (** Quantize a float to the nearest representable binary16 value. *)
-let round (f : float) : float = to_float (of_float f)
+let[@inline] round (f : float) : float = to_float (of_float f)
+
+(** [round_span src soff dst doff len] sets [dst.(doff+i)] to
+    [round src.(soff+i)] for [i < len] ([src] and [dst] may be the same
+    array). Tensor stores quantize through this loop: here the codec
+    inlines into it, so no float is boxed per element. *)
+let round_span (src : float array) soff (dst : float array) doff len =
+  for i = 0 to len - 1 do
+    dst.(doff + i) <- round src.(soff + i)
+  done
 
 (** True iff [f] is exactly representable in binary16. *)
 let representable (f : float) : bool =

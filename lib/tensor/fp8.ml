@@ -19,21 +19,24 @@ let min_positive_normal = 2. ** -6.
 
 let is_nan (b : bits) = b land 0x7f = 0x7f
 
-let to_float (b : bits) : float =
+(* Decode table over non-negative codes 0x00..0x7e (0x7f is NaN),
+   built with the E4M3 decode formula; [to_float] and [round] read it. *)
+let positive_values : float array =
+  Array.init 0x7f (fun b ->
+      let e = (b lsr 3) land 0xf in
+      let m = b land 0x7 in
+      if e = 0 then Float.of_int m *. (2. ** -9.)
+      else Float.of_int (m lor 0x8) *. (2. ** Float.of_int (e - 10)))
+
+(* Negation is exact, so [-. v] equals the formula's [-1.0 *. v]. *)
+let[@inline] to_float (b : bits) : float =
   let b = b land 0xff in
   if is_nan b then Float.nan
   else
-    let sign = if b land 0x80 <> 0 then -1.0 else 1.0 in
-    let e = (b lsr 3) land 0xf in
-    let m = b land 0x7 in
-    if e = 0 then sign *. Float.of_int m *. (2. ** -9.)
-    else sign *. Float.of_int (m lor 0x8) *. (2. ** Float.of_int (e - 10))
+    let v = Array.unsafe_get positive_values (b land 0x7f) in
+    if b land 0x80 <> 0 then -.v else v
 
-(* Decode table over non-negative codes 0x00..0x7e (0x7f is NaN). *)
-let positive_values : float array =
-  Array.init 0x7f (fun i -> to_float i)
-
-let of_float (f : float) : bits =
+let[@inline] of_float (f : float) : bits =
   if Float.is_nan f then nan_bits
   else begin
     let sign = if 1.0 /. f < 0.0 || f < 0.0 then 0x80 else 0x00 in
@@ -66,7 +69,15 @@ let of_float (f : float) : bits =
 
 (** Quantize a float to the nearest representable E4M3 value
     (saturating). *)
-let round (f : float) : float = to_float (of_float f)
+let[@inline] round (f : float) : float = to_float (of_float f)
+
+(** [round_span src soff dst doff len] sets [dst.(doff+i)] to
+    [round src.(soff+i)] for [i < len] ([src] and [dst] may be the same
+    array): the E4M3 quantize loop of tensor stores, unboxed here. *)
+let round_span (src : float array) soff (dst : float array) doff len =
+  for i = 0 to len - 1 do
+    dst.(doff + i) <- round src.(soff + i)
+  done
 
 let representable (f : float) : bool =
   Float.is_nan f || Float.equal (round f) f

@@ -135,14 +135,8 @@ let store_slice ~(dst : t) ~doff (src : float array) ~soff ~len =
   let d = dst.data in
   match dst.dtype with
   | Dtype.F32 -> Array.blit src soff d doff len
-  | Dtype.F16 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i) (Fp16.round (Array.unsafe_get src (soff + i)))
-    done
-  | Dtype.F8E4M3 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i) (Fp8.round (Array.unsafe_get src (soff + i)))
-    done
+  | Dtype.F16 -> Fp16.round_span src soff d doff len
+  | Dtype.F8E4M3 -> Fp8.round_span src soff d doff len
   | Dtype.I32 ->
     for i = 0 to len - 1 do
       Array.unsafe_set d (doff + i)
@@ -245,6 +239,13 @@ let reduce_slice f ~init (t : t) ~off ~len =
     done);
   !acc
 
+(** Quantize [t]'s whole payload in place through its dtype: the one
+    quantize pass that ends a tile kernel which computed raw floats
+    into a fresh tensor. F32 is the identity. *)
+let requantize t =
+  if t.dtype <> Dtype.F32 then
+    store_slice ~dst:t ~doff:0 t.data ~soff:0 ~len:(numel t)
+
 let cast dtype t =
   if dtype = t.dtype then
     (* Payload already quantized at [dtype]: a raw copy is identical. *)
@@ -255,109 +256,6 @@ let cast dtype t =
     store_slice ~dst:out ~doff:0 t.data ~soff:0 ~len:(numel t);
     out
   end
-
-(* Bulk elementwise kernels. The [quantize] dispatch is hoisted out of
-   the element loop into one dtype match around dtype-specialized
-   loops; F32 (the common functional-mode payload) is the identity, so
-   its loop body is a raw array write. Value-identical to quantizing
-   per element. *)
-
-let map f t =
-  let out = create ~dtype:t.dtype t.shape in
-  let n = Array.length t.data in
-  let src = t.data and dst = out.data in
-  (match t.dtype with
-  | Dtype.F32 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- f src.(i)
-    done
-  | Dtype.F16 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Fp16.round (f src.(i))
-    done
-  | Dtype.F8E4M3 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Fp8.round (f src.(i))
-    done
-  | Dtype.I32 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Float.of_int (int_of_float (f src.(i)))
-    done
-  | Dtype.I1 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- (if f src.(i) <> 0.0 then 1.0 else 0.0)
-    done);
-  out
-
-let map2 f a b =
-  if not (shape_equal a b) then invalid_arg "Tensor.map2: shape mismatch";
-  let out = create ~dtype:a.dtype a.shape in
-  let n = Array.length a.data in
-  let xa = a.data and xb = b.data and dst = out.data in
-  (match a.dtype with
-  | Dtype.F32 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- f xa.(i) xb.(i)
-    done
-  | Dtype.F16 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Fp16.round (f xa.(i) xb.(i))
-    done
-  | Dtype.F8E4M3 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Fp8.round (f xa.(i) xb.(i))
-    done
-  | Dtype.I32 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Float.of_int (int_of_float (f xa.(i) xb.(i)))
-    done
-  | Dtype.I1 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- (if f xa.(i) xb.(i) <> 0.0 then 1.0 else 0.0)
-    done);
-  out
-
-(** Elementwise predicate into a fresh I1 mask: [cmp pred a b].(i) is 1.0
-    iff [pred a.(i) b.(i)]. Iterates over [a]'s extent (the simulator's
-    tile-cmp contract: operands share it by construction). *)
-let cmp pred a b =
-  let out = create ~dtype:Dtype.I1 a.shape in
-  let n = Array.length a.data in
-  let xa = a.data and xb = b.data and dst = out.data in
-  for i = 0 to n - 1 do
-    dst.(i) <- (if pred xa.(i) xb.(i) then 1.0 else 0.0)
-  done;
-  out
-
-(** Elementwise select: where [cond] is nonzero take [a], else [b];
-    result has [a]'s dtype, so [b]'s payload requantizes through it
-    (identity when dtypes agree, as per-element [set_flat] did). *)
-let select cond a b =
-  let out = create ~dtype:a.dtype a.shape in
-  let n = Array.length a.data in
-  let xc = cond.data and xa = a.data and xb = b.data and dst = out.data in
-  (match a.dtype with
-  | Dtype.F32 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- (if xc.(i) <> 0.0 then xa.(i) else xb.(i))
-    done
-  | Dtype.F16 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Fp16.round (if xc.(i) <> 0.0 then xa.(i) else xb.(i))
-    done
-  | Dtype.F8E4M3 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Fp8.round (if xc.(i) <> 0.0 then xa.(i) else xb.(i))
-    done
-  | Dtype.I32 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- Float.of_int (int_of_float (if xc.(i) <> 0.0 then xa.(i) else xb.(i)))
-    done
-  | Dtype.I1 ->
-    for i = 0 to n - 1 do
-      dst.(i) <- (if (if xc.(i) <> 0.0 then xa.(i) else xb.(i)) <> 0.0 then 1.0 else 0.0)
-    done);
-  out
 
 (** Same payload, new shape. The source is already quantized at its own
     dtype, so the copy is one flat blit. *)
@@ -445,13 +343,16 @@ let blit2 ~dst ~r0 ~c0 tile =
         done
     done
 
+(* The output has the source's dtype and the source payload is already
+   quantized at it, so every element is a raw copy. *)
 let transpose2 t =
   if rank t <> 2 then invalid_arg "Tensor.transpose2: rank <> 2";
   let rows = dim t 0 and cols = dim t 1 in
   let out = create ~dtype:t.dtype [| cols; rows |] in
+  let src = t.data and dst = out.data in
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do
-      set2 out j i (get2 t i j)
+      Array.unsafe_set dst ((j * rows) + i) (Array.unsafe_get src ((i * cols) + j))
     done
   done;
   out

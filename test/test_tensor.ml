@@ -2,8 +2,34 @@
    dense tensors, and reference kernels. *)
 
 open Tawa_tensor
+open Tawa_ir
 
 let check_float = Alcotest.(check (float 1e-12))
+
+(* ------------------------------------------------------------------ *)
+(* Closure-per-element oracle                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The tile kernels in [Interp] compute in raw float space and quantize
+   once at the end. These are the forms they replaced: one closure call
+   and one quantizing [set_flat]/[set] per element, built only from the
+   scalar semantics ([Interp.float_binop] & co.) and the per-element
+   tensor accessors. The kernel properties below demand bit equality
+   against them. *)
+
+let oracle_map f t =
+  let out = Tensor.create ~dtype:(Tensor.dtype t) (Tensor.shape t) in
+  for i = 0 to Tensor.numel t - 1 do
+    Tensor.set_flat out i (f (Tensor.get_flat t i))
+  done;
+  out
+
+let oracle_map2 f a b =
+  let out = Tensor.create ~dtype:(Tensor.dtype a) (Tensor.shape a) in
+  for i = 0 to Tensor.numel a - 1 do
+    Tensor.set_flat out i (f (Tensor.get_flat a i) (Tensor.get_flat b i))
+  done;
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Dtype                                                              *)
@@ -85,6 +111,74 @@ let test_fp16_exhaustive_roundtrip () =
     end
   done
 
+let test_fp16_two_step_rounding () =
+  (* [of_float] rounds binary64 -> binary32 -> binary16 (an FP32 value
+     through cvt.rn.f16.f32). 1 + 2^-11 + 2^-40 first rounds to the
+     binary32 tie 1 + 2^-11, which ties to even at 1.0; a single
+     binary64 -> binary16 step would give 1 + 2^-10 = 1.0009765625. *)
+  let x = 1. +. ldexp 1. (-11) +. ldexp 1. (-40) in
+  Alcotest.(check int64) "two-step result" (Int64.bits_of_float 1.0)
+    (Int64.bits_of_float (Fp16.round x));
+  Alcotest.(check bool) "differs from one-step RNE" true
+    (Fp16.round x <> 1.0009765625)
+
+(* binary32 -> binary16 bits with the round-to-nearest-even decision
+   made by explicit comparisons of the discarded bits: the reference
+   for the codec's branch-free carry rounding. *)
+let fp16_encode_reference (x : int) =
+  let sign = (x lsr 16) land 0x8000 in
+  let e = (x lsr 23) land 0xff in
+  let m = x land 0x7fffff in
+  let rne q rem half = if rem > half || (rem = half && q land 1 = 1) then q + 1 else q in
+  if e = 255 then sign lor 0x7c00 lor (if m <> 0 then 0x200 else 0)
+  else
+    let e' = e - 112 in
+    if e' >= 31 then sign lor 0x7c00
+    else if e' <= 0 then
+      if e' < -10 then sign
+      else
+        let m = m lor 0x800000 and shift = 14 - e' in
+        sign lor rne (m lsr shift) (m land ((1 lsl shift) - 1)) (1 lsl (shift - 1))
+    else
+      sign lor rne ((e' lsl 10) lor (m lsr 13)) (m land 0x1fff) 0x1000
+
+let test_fp16_encode_matches_reference () =
+  (* Every sign and binary32 exponent, with the discarded bits at and
+     around the rounding tie for that exponent's shift. *)
+  for sign = 0 to 1 do
+    for e = 0 to 255 do
+      let shift = if e - 112 >= 1 then 13 else min 24 (max 14 (126 - e)) in
+      let half = 1 lsl (shift - 1) in
+      for q = 0 to 0x7fffff lsr shift do
+        List.iter
+          (fun rem ->
+            let x = (sign lsl 31) lor (e lsl 23) lor (((q lsl shift) lor rem) land 0x7fffff) in
+            let got = Fp16.of_float32_bits x and want = fp16_encode_reference x in
+            if got <> want then
+              Alcotest.failf "fp16 encode %#x: %#x, want %#x" x got want)
+          [ 0; 1; half - 1; half; half + 1; (2 * half) - 1 ]
+      done
+    done
+  done
+
+(* The closed-form binary16 decode, with [2. ** ...] per call: the
+   formula the codec's power-of-two table must reproduce bit for bit. *)
+let fp16_decode_formula h =
+  let sign = if h land 0x8000 <> 0 then -1.0 else 1.0 in
+  let e = (h lsr 10) land 0x1f in
+  let m = h land 0x3ff in
+  if e = 31 then if m <> 0 then Float.nan else sign *. Float.infinity
+  else if e = 0 then sign *. Float.of_int m *. (2. ** -24.)
+  else sign *. Float.of_int (m lor 0x400) *. (2. ** Float.of_int (e - 25))
+
+let test_fp16_decode_matches_formula () =
+  for h = 0 to 0xffff do
+    let got = Int64.bits_of_float (Fp16.to_float h)
+    and want = Int64.bits_of_float (fp16_decode_formula h) in
+    if not (Int64.equal got want) then
+      Alcotest.failf "fp16 decode %#x: table %Lx, formula %Lx" h got want
+  done
+
 let prop_fp16_idempotent =
   QCheck.Test.make ~name:"fp16 round idempotent" ~count:2000
     QCheck.(float_range (-70000.0) 70000.0)
@@ -136,6 +230,30 @@ let test_fp8_exhaustive_roundtrip () =
       if not (Float.equal (Fp8.to_float bits') f) then
         Alcotest.failf "fp8 roundtrip: %#x -> %g -> %#x" bits f bits'
     end
+  done
+
+(* The closed-form E4M3 decode the lookup table must reproduce. *)
+let fp8_decode_formula b =
+  if b land 0x7f = 0x7f then Float.nan
+  else
+    let sign = if b land 0x80 <> 0 then -1.0 else 1.0 in
+    let e = (b lsr 3) land 0xf in
+    let m = b land 0x7 in
+    if e = 0 then sign *. Float.of_int m *. (2. ** -9.)
+    else sign *. Float.of_int (m lor 0x8) *. (2. ** Float.of_int (e - 10))
+
+let test_fp8_decode_matches_formula () =
+  for b = 0 to 0xff do
+    let got = Int64.bits_of_float (Fp8.to_float b)
+    and want = Int64.bits_of_float (fp8_decode_formula b) in
+    if not (Int64.equal got want) then
+      Alcotest.failf "fp8 decode %#x: table %Lx, formula %Lx" b got want;
+    (* round = decode of the encoded code, whatever the input. *)
+    let f = fp8_decode_formula b *. 1.0625 in
+    let got = Int64.bits_of_float (Fp8.round f)
+    and want = Int64.bits_of_float (fp8_decode_formula (Fp8.of_float f)) in
+    if not (Int64.equal got want) then
+      Alcotest.failf "fp8 round %h: %Lx, want %Lx" f got want
   done
 
 let prop_fp8_idempotent =
@@ -232,13 +350,13 @@ let test_tensor_random_deterministic () =
   let c = Tensor.random ~seed:8 [| 8; 8 |] in
   Alcotest.(check bool) "different seed" false (Tensor.equal a c)
 
-let prop_tensor_map2_add_comm =
-  QCheck.Test.make ~name:"map2 (+) commutative" ~count:200
+let prop_tile_add_comm =
+  QCheck.Test.make ~name:"tile_binop Add commutative" ~count:200
     QCheck.(pair small_int small_int)
     (fun (sa, sb) ->
       let a = Tensor.random ~seed:(sa + 1) [| 4; 4 |] in
       let b = Tensor.random ~seed:(sb + 1000) [| 4; 4 |] in
-      Tensor.equal (Tensor.map2 ( +. ) a b) (Tensor.map2 ( +. ) b a))
+      Tensor.equal (Interp.tile_binop Op.Add a b) (Interp.tile_binop Op.Add b a))
 
 let prop_transpose_involution =
   QCheck.Test.make ~name:"transpose involution" ~count:100
@@ -285,10 +403,10 @@ let prop_gemm_linear =
     (fun (n, alpha) ->
       let a = Tensor.random ~seed:n [| n; n |] in
       let b = Tensor.random ~seed:(n + 77) [| n; n |] in
-      let sa = Tensor.map (fun x -> alpha *. x) a in
+      let sa = oracle_map (fun x -> alpha *. x) a in
       let lhs = Reference.gemm ~out_dtype:Dtype.F32 sa b in
       let rhs =
-        Tensor.map (fun x -> alpha *. x) (Reference.gemm ~out_dtype:Dtype.F32 a b)
+        oracle_map (fun x -> alpha *. x) (Reference.gemm ~out_dtype:Dtype.F32 a b)
       in
       Tensor.max_abs_diff lhs rhs < 1e-4)
 
@@ -481,6 +599,226 @@ let prop_gemm_bit_identical_to_textbook =
       done;
       Tensor.equal (Reference.gemm a b) expect)
 
+(* ------------------------------------------------------------------ *)
+(* First-order tile kernels vs the closure-per-element oracle          *)
+(* ------------------------------------------------------------------ *)
+
+let all_dtypes = [| Dtype.F32; F16; F8E4M3; I32; I1 |]
+
+let binops = [ Op.Add; Sub; Mul; Div; Rem; Min; Max; And; Or; Xor ]
+let unops = [ Op.Neg; Exp; Exp2; Log; Log2; Sqrt; Rsqrt; Abs; Not ]
+let cmps = [ Op.Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* NaN, signed zeros, infinities, f16 subnormals and the f16 extremes:
+   the values where [Float.max]/[Float.min], the codecs' rounding and
+   the integer conversions have their edge cases. *)
+let specials =
+  [| Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity;
+     Fp16.min_positive_subnormal; -3.0 *. Fp16.min_positive_subnormal;
+     0.5 *. Fp16.min_positive_normal; 65504.0; -65520.0; 1.0; -1.0 |]
+
+(* A [dtype] tensor mixing uniform values in [-4, 4] with [specials]
+   (one element in [special_every]), stored through the quantizing
+   accessor so the payload holds only values representable at [dtype]. *)
+let mixed_tensor ?(special_every = 4) ~dtype ~seed shape =
+  let st = Random.State.make [| seed |] in
+  let t = Tensor.create ~dtype shape in
+  for i = 0 to Tensor.numel t - 1 do
+    Tensor.set_flat t i
+      (if Random.State.int st special_every = 0 then
+         specials.(Random.State.int st (Array.length specials))
+       else Random.State.float st 8.0 -. 4.0)
+  done;
+  t
+
+let bits_equal (a : Tensor.t) (b : Tensor.t) =
+  Tensor.dtype a = Tensor.dtype b
+  && Tensor.shape a = Tensor.shape b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.Tensor.data b.Tensor.data
+
+let oracle_cmp kind a b =
+  let out = Tensor.create ~dtype:Dtype.I1 (Tensor.shape a) in
+  for i = 0 to Tensor.numel a - 1 do
+    Tensor.set_flat out i
+      (if Interp.cmp_pred kind (Tensor.get_flat a i) (Tensor.get_flat b i) then 1.0
+       else 0.0)
+  done;
+  out
+
+let oracle_select c a b =
+  let out = Tensor.create ~dtype:(Tensor.dtype a) (Tensor.shape a) in
+  for i = 0 to Tensor.numel a - 1 do
+    Tensor.set_flat out i
+      (if Tensor.get_flat c i <> 0.0 then Tensor.get_flat a i else Tensor.get_flat b i)
+  done;
+  out
+
+let oracle_dot a b acc =
+  let m = Tensor.dim a 0 and k = Tensor.dim a 1 and n = Tensor.dim b 1 in
+  let out = Tensor.create ~dtype:(Tensor.dtype acc) [| m; n |] in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let s = ref (Tensor.get2 acc i j) in
+      for p = 0 to k - 1 do
+        s := !s +. (Tensor.get2 a i p *. Tensor.get2 b p j)
+      done;
+      Tensor.set2 out i j !s
+    done
+  done;
+  out
+
+let oracle_broadcast t target =
+  let src = Tensor.shape t in
+  Tensor.init ~dtype:(Tensor.dtype t) target (fun idx ->
+      Tensor.get t (Array.mapi (fun i x -> if src.(i) = 1 then 0 else x) idx))
+
+(* Fold every element into its output cell through [get]/[set], which
+   requantizes the accumulator at every step. *)
+let oracle_reduce kind axis t =
+  let init, f =
+    match (kind : Op.reduce_kind) with
+    | Red_max -> (Float.neg_infinity, Float.max)
+    | Red_min -> (Float.infinity, Float.min)
+    | Red_sum -> (0.0, ( +. ))
+  in
+  let shape = Tensor.shape t in
+  let out_shape =
+    Array.of_list (List.filteri (fun i _ -> i <> axis) (Array.to_list shape))
+  in
+  let out = Tensor.create ~dtype:(Tensor.dtype t) out_shape in
+  Tensor.fill out init;
+  Tensor.iteri
+    (fun idx v ->
+      let oidx =
+        Array.of_list (List.filteri (fun i _ -> i <> axis) (Array.to_list idx))
+      in
+      Tensor.set out oidx (f (Tensor.get out oidx) v))
+    t;
+  out
+
+let shape_args = QCheck.(pair small_int (pair (int_range 1 6) (int_range 1 9)))
+
+let prop_tile_binop_matches_oracle =
+  QCheck.Test.make ~name:"tile_binop = closure-per-element map2 (every op, dtype)"
+    ~count:60 shape_args
+    (fun (seed, (r, c)) ->
+      Array.for_all
+        (fun da ->
+          Array.for_all
+            (fun db ->
+              let a = mixed_tensor ~dtype:da ~seed [| r; c |] in
+              let b = mixed_tensor ~dtype:db ~seed:(seed + 101) [| r; c |] in
+              List.for_all
+                (fun op ->
+                  bits_equal (Interp.tile_binop op a b)
+                    (oracle_map2 (Interp.float_binop op) a b))
+                binops)
+            all_dtypes)
+        all_dtypes)
+
+let prop_tile_unop_matches_oracle =
+  QCheck.Test.make ~name:"tile_unop = closure-per-element map (every op, dtype)"
+    ~count:100 shape_args
+    (fun (seed, (r, c)) ->
+      Array.for_all
+        (fun dt ->
+          let t = mixed_tensor ~dtype:dt ~seed [| r; c |] in
+          List.for_all
+            (fun op ->
+              bits_equal (Interp.tile_unop op t) (oracle_map (Interp.float_unop op) t))
+            unops)
+        all_dtypes)
+
+let prop_tile_cmp_select_match_oracle =
+  QCheck.Test.make ~name:"tile_cmp, tile_select = per-element oracle (every dtype)"
+    ~count:60 shape_args
+    (fun (seed, (r, c)) ->
+      Array.for_all
+        (fun da ->
+          Array.for_all
+            (fun db ->
+              let a = mixed_tensor ~dtype:da ~seed [| r; c |] in
+              let b = mixed_tensor ~dtype:db ~seed:(seed + 7) [| r; c |] in
+              let cond = mixed_tensor ~dtype:db ~seed:(seed + 13) [| r; c |] in
+              List.for_all
+                (fun op -> bits_equal (Interp.tile_cmp op a b) (oracle_cmp op a b))
+                cmps
+              && bits_equal (Interp.tile_select cond a b) (oracle_select cond a b))
+            all_dtypes)
+        all_dtypes)
+
+let prop_dot_tiles_matches_oracle =
+  (* m, k in 1..33 and n in 1..33, so the 4-column blocks leave every
+     remainder width. *)
+  QCheck.Test.make ~name:"dot_tiles = textbook i-j-p loop, bit-identical"
+    ~count:150
+    QCheck.(
+      pair (pair (int_range 1 33) (pair (int_range 1 33) (int_range 1 33)))
+        (pair small_int (pair (int_range 0 4) (int_range 0 4))))
+    (fun ((m, (n, k)), (seed, (di, dacc))) ->
+      let dt = all_dtypes.(di) and acc_dt = all_dtypes.(dacc) in
+      let a = mixed_tensor ~special_every:64 ~dtype:dt ~seed [| m; k |] in
+      let b = mixed_tensor ~special_every:64 ~dtype:dt ~seed:(seed + 1) [| k; n |] in
+      let acc = mixed_tensor ~special_every:64 ~dtype:acc_dt ~seed:(seed + 2) [| m; n |] in
+      bits_equal (Interp.dot_tiles a b acc) (oracle_dot a b acc))
+
+let prop_broadcast_matches_oracle =
+  QCheck.Test.make ~name:"broadcast_to = per-element index decode (row, column, n-D)"
+    ~count:100
+    QCheck.(pair shape_args (pair (int_range 1 4) (int_range 0 7)))
+    (fun ((seed, (r, c)), (p, mask)) ->
+      let one bit d = if mask land bit <> 0 then 1 else d in
+      Array.for_all
+        (fun dt ->
+          List.for_all
+            (fun (src, target) ->
+              let t = mixed_tensor ~dtype:dt ~seed src in
+              bits_equal
+                (Interp.broadcast_to t (Array.to_list target))
+                (oracle_broadcast t target))
+            [ ([| 1; c |], [| r; c |]); ([| r; 1 |], [| r; c |]);
+              ([| 1; 1 |], [| r; c |]); ([| r; c |], [| r; c |]);
+              ([| one 1 p; one 2 r; one 4 c |], [| p; r; c |]) ])
+        all_dtypes)
+
+let prop_reduce_matches_oracle =
+  QCheck.Test.make ~name:"reduce_tensor = per-step requantizing fold (every axis)"
+    ~count:100
+    QCheck.(pair shape_args (int_range 1 4))
+    (fun ((seed, (r, c)), p) ->
+      Array.for_all
+        (fun dt ->
+          List.for_all
+            (fun kind ->
+              List.for_all
+                (fun (shape, axis) ->
+                  let t = mixed_tensor ~dtype:dt ~seed shape in
+                  bits_equal
+                    (Interp.reduce_tensor kind axis t)
+                    (oracle_reduce kind axis t))
+                [ ([| r; c |], 1); ([| r; c |], 0); ([| p; r; c |], 2);
+                  ([| p; r; c |], 1); ([| c |], 0) ])
+            [ Op.Red_max; Red_min; Red_sum ])
+        all_dtypes)
+
+let prop_layout_kernels_match_oracle =
+  QCheck.Test.make ~name:"transpose2, reshape, tile_iota = per-element oracle"
+    ~count:100 shape_args
+    (fun (seed, (r, c)) ->
+      Array.for_all
+        (fun dt ->
+          let t = mixed_tensor ~dtype:dt ~seed [| r; c |] in
+          bits_equal (Tensor.transpose2 t)
+            (Tensor.init ~dtype:dt [| c; r |] (fun i -> Tensor.get2 t i.(1) i.(0)))
+          && bits_equal (Tensor.reshape t [| c; r |])
+               (Tensor.init ~dtype:dt [| c; r |] (fun i ->
+                    Tensor.get_flat t ((i.(0) * r) + i.(1)))))
+        all_dtypes
+      && bits_equal (Interp.tile_iota (r * c))
+           (Tensor.init ~dtype:Dtype.I32 [| r * c |] (fun i -> Float.of_int i.(0))))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -499,6 +837,11 @@ let suites =
         Alcotest.test_case "nan" `Quick test_fp16_nan;
         Alcotest.test_case "round to even" `Quick test_fp16_round_to_even;
         Alcotest.test_case "exhaustive roundtrip" `Quick test_fp16_exhaustive_roundtrip;
+        Alcotest.test_case "two-step rounding" `Quick test_fp16_two_step_rounding;
+        Alcotest.test_case "carry rounding = compare-based RNE" `Quick
+          test_fp16_encode_matches_reference;
+        Alcotest.test_case "decode table = formula (65536 codes)" `Quick
+          test_fp16_decode_matches_formula;
       ] );
     qsuite "tensor.fp16.props" [ prop_fp16_idempotent; prop_fp16_monotone; prop_fp16_error_bound ];
     ( "tensor.fp8",
@@ -507,6 +850,8 @@ let suites =
         Alcotest.test_case "saturation" `Quick test_fp8_saturation;
         Alcotest.test_case "nan" `Quick test_fp8_nan;
         Alcotest.test_case "exhaustive roundtrip" `Quick test_fp8_exhaustive_roundtrip;
+        Alcotest.test_case "decode table = formula (256 codes)" `Quick
+          test_fp8_decode_matches_formula;
       ] );
     qsuite "tensor.fp8.props" [ prop_fp8_idempotent; prop_fp8_nearest ];
     ( "tensor.core",
@@ -520,7 +865,7 @@ let suites =
         Alcotest.test_case "cast" `Quick test_tensor_cast;
         Alcotest.test_case "random deterministic" `Quick test_tensor_random_deterministic;
       ] );
-    qsuite "tensor.core.props" [ prop_tensor_map2_add_comm; prop_transpose_involution ];
+    qsuite "tensor.core.props" [ prop_tile_add_comm; prop_transpose_involution ];
     ( "tensor.reference",
       [
         Alcotest.test_case "gemm identity" `Quick test_gemm_identity;
@@ -538,5 +883,8 @@ let suites =
       [ prop_blit_slice_matches_scalar; prop_axpy_slice_matches_scalar;
         prop_axpy_raw_matches_scalar; prop_store_slice_matches_scalar;
         prop_reduce_slice_matches_scalar; prop_cast_matches_scalar;
-        prop_gemm_bit_identical_to_textbook ];
+        prop_gemm_bit_identical_to_textbook; prop_tile_binop_matches_oracle;
+        prop_tile_unop_matches_oracle; prop_tile_cmp_select_match_oracle;
+        prop_dot_tiles_matches_oracle; prop_broadcast_matches_oracle;
+        prop_reduce_matches_oracle; prop_layout_kernels_match_oracle ];
   ]
