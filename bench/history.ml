@@ -16,6 +16,12 @@
    figure's `tflops_rows` tables plus every `tawa_tflops` field
    (fig9's batched/grouped shape lists).
 
+   The decoded engine's instruction rate (`decoded_instructions_per_sec`,
+   recorded beside `decoded_seconds`) is gated too: it may drop by no
+   more than the wall threshold, compared only when both files'
+   `decoded_seconds` reach `--min-wall` (a short figure's rate is as
+   noisy as its wall).
+
    Exit codes: 0 clean, 1 regression, 2 malformed input. *)
 
 module Json = Tawa_obs.Json
@@ -23,7 +29,13 @@ module Json = Tawa_obs.Json
 let wall_keys =
   [ "decoded_seconds"; "parallel_seconds"; "sequential_seconds"; "reference_seconds" ]
 
-type fig = { f_name : string; f_wall : float option; f_tflops : float option }
+type fig = {
+  f_name : string;
+  f_wall : float option;
+  f_tflops : float option;
+  f_decoded_wall : float option; (* decoded_seconds, absent in the oldest era *)
+  f_rate : float option; (* decoded_instructions_per_sec *)
+}
 type entry = { e_pr : int; e_path : string; e_figs : fig list }
 
 exception Malformed of string
@@ -87,14 +99,17 @@ let load path : entry =
       | Some data -> mean_tawa_tflops data
       | None -> mal path "figure %s: no data" name
     in
-    { f_name = name; f_wall = wall; f_tflops = tflops }
+    let num k = Option.bind (Json.member k f) Json.to_float_opt in
+    { f_name = name; f_wall = wall; f_tflops = tflops;
+      f_decoded_wall = num "decoded_seconds";
+      f_rate = num "decoded_instructions_per_sec" }
   in
   { e_pr = pr; e_path = path; e_figs = List.map parse_fig figs }
 
 type verdict = {
   v_pr : int;
   v_fig : string;
-  v_what : string; (* "wall" | "tflops" *)
+  v_what : string; (* "wall" | "tflops" | "decoded-ips" *)
   v_prev : float;
   v_cur : float;
   v_ratio : float;
@@ -120,11 +135,20 @@ let check ~max_wall ~min_wall ~max_tflops (entries : entry list) : verdict list 
                   v_prev = wa; v_cur = wb; v_ratio = wb /. wa }
                 :: !bad
             | _ -> ());
-            match (fa.f_tflops, fb.f_tflops) with
+            (match (fa.f_tflops, fb.f_tflops) with
             | Some ta, Some tb when ta > 0.0 && tb < ta *. (1.0 -. max_tflops) ->
               bad :=
                 { v_pr = b.e_pr; v_fig = fb.f_name; v_what = "tflops";
                   v_prev = ta; v_cur = tb; v_ratio = tb /. ta }
+                :: !bad
+            | _ -> ());
+            match (fa.f_decoded_wall, fb.f_decoded_wall, fa.f_rate, fb.f_rate) with
+            | Some wa, Some wb, Some ra, Some rb
+              when wa >= min_wall && wb >= min_wall && ra > 0.0
+                   && rb < ra *. (1.0 -. max_wall) ->
+              bad :=
+                { v_pr = b.e_pr; v_fig = fb.f_name; v_what = "decoded-ips";
+                  v_prev = ra; v_cur = rb; v_ratio = rb /. ra }
                 :: !bad
             | _ -> ())
         b.e_figs;
@@ -143,13 +167,16 @@ let print_trajectory (entries : entry list) =
         List.map
           (fun f ->
             [ string_of_int e.e_pr; f.f_name; fmt_opt f.f_wall;
-              fmt_opt f.f_tflops; Filename.basename e.e_path ])
+              fmt_opt f.f_tflops;
+              fmt_opt (Option.map (fun r -> r /. 1e6) f.f_rate);
+              Filename.basename e.e_path ])
           e.e_figs)
       sorted
   in
   print_string
     (Tawa_obs.Tbl.render
-       ~header:[ "pr"; "figure"; "wall-s"; "mean-tawa-tflops"; "file" ]
+       ~header:
+         [ "pr"; "figure"; "wall-s"; "mean-tawa-tflops"; "decoded-Minstr/s"; "file" ]
        rows)
 
 let () =
@@ -160,10 +187,12 @@ let () =
   let spec =
     [ ( "--max-wall-regress",
         Arg.Set_float max_wall,
-        "FRAC  allowed wall-seconds growth between consecutive PRs (default 0.15)" );
+        "FRAC  allowed wall-seconds growth, and decoded instruction-rate drop, \
+         between consecutive PRs (default 0.15)" );
       ( "--min-wall",
         Arg.Set_float min_wall,
-        "SECONDS  skip wall comparison when the baseline is below this (default 0.2)" );
+        "SECONDS  skip wall comparison when the baseline is below this, and \
+         rate comparison when either decoded wall is (default 0.2)" );
       ( "--max-tflops-regress",
         Arg.Set_float max_tflops,
         "FRAC  allowed mean-TFLOPS drop between consecutive PRs (default 0.10)" ) ]
@@ -186,8 +215,10 @@ let () =
         entries
     in
     if bad = [] then begin
-      Printf.printf "trajectory clean: %d PRs, thresholds wall +%.0f%% tflops -%.0f%%\n"
-        (List.length entries) (100.0 *. !max_wall) (100.0 *. !max_tflops);
+      Printf.printf
+        "trajectory clean: %d PRs, thresholds wall +%.0f%% tflops -%.0f%% decoded-ips -%.0f%%\n"
+        (List.length entries) (100.0 *. !max_wall) (100.0 *. !max_tflops)
+        (100.0 *. !max_wall);
       exit 0
     end
     else begin

@@ -181,29 +181,31 @@ let prune_reason ?limits (family : family) (c : candidate) : string option =
   | Resources.Feasible _ -> None
   | Resources.Infeasible reason -> Some reason
 
-(** Measure one candidate with the simulator under [cfg] (the caller
-    chooses the mode; {!search} forces timing). Causal attention
+(** The full launch estimate of one candidate under [cfg]: compile,
+    then {!Launch.estimate} on the family's shape. Causal attention
     simulates the median-work tile as the representative CTA. *)
-let measure ?(cfg = Config.h100) (family : family) (c : candidate) : measurement
-    =
+let estimate ?(cfg = Config.h100) (family : family) (c : candidate) : Launch.timing =
   let compiled = Flow.compile ~options:(options_of c) (kernel_of family c) in
-  let t =
-    match family with
-    | Gemm s ->
-      let grid, params = Workloads.gemm_launch s ~tiles:c.tiles in
-      Launch.estimate ~cfg compiled.Flow.program ~params ~grid
-        ~flops:(Workloads.gemm_flops s)
-    | Attention s ->
-      let bm = c.tiles.Kernels.block_m in
-      let grid, params = Workloads.mha_launch s ~block_m:bm in
-      let rep_pid =
-        if s.Workloads.causal then
-          [| max 0 ((s.Workloads.len / bm / 2) - 1); 0; 0 |]
-        else [| 0; 0; 0 |]
-      in
-      Launch.estimate ~rep_pid ~cfg compiled.Flow.program ~params ~grid
-        ~flops:(Workloads.mha_flops s)
-  in
+  match family with
+  | Gemm s ->
+    let grid, params = Workloads.gemm_launch s ~tiles:c.tiles in
+    Launch.estimate ~cfg compiled.Flow.program ~params ~grid
+      ~flops:(Workloads.gemm_flops s)
+  | Attention s ->
+    let bm = c.tiles.Kernels.block_m in
+    let grid, params = Workloads.mha_launch s ~block_m:bm in
+    let rep_pid =
+      if s.Workloads.causal then
+        [| max 0 ((s.Workloads.len / bm / 2) - 1); 0; 0 |]
+      else [| 0; 0; 0 |]
+    in
+    Launch.estimate ~rep_pid ~cfg compiled.Flow.program ~params ~grid
+      ~flops:(Workloads.mha_flops s)
+
+(** Measure one candidate with the simulator under [cfg] (the caller
+    chooses the mode; {!search} forces timing). *)
+let measure ?cfg (family : family) (c : candidate) : measurement =
+  let t = estimate ?cfg family c in
   { candidate = c; tflops = t.Launch.tflops; cycles = t.Launch.cycles }
 
 (* --------------------------- expert configs ----------------------- *)

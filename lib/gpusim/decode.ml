@@ -6,8 +6,8 @@
     kinds, boxes every scalar in an {!Sim.rt} variant, hashes SMEM
     slots, and recomputes tile costs from the config. This module
     translates each stream ONCE into an array of OCaml closures
-    ([code = ectx -> wg -> unit]) with everything static folded at
-    decode time:
+    ([code = wg -> unit]; each WG carries its context in [w.ctx]) with
+    everything static folded at decode time:
 
     - immediates become captured constants; operand accessors are
       pre-resolved per kind (no [value_of] dispatch at run time);
@@ -19,7 +19,11 @@
       SMEM slot bases are pre-computed;
     - the [(alloc, slot)] Hashtbl becomes a dense array indexed by
       [alloc_base + slot] (with a Hashtbl fallback for out-of-range
-      slots so hand-built programs keep reference semantics).
+      slots so hand-built programs keep reference semantics);
+    - scalar [Alu]/[Cmp] units match their opcode inside the one
+      closure through typed, inlined helpers ([int_op], [float_op],
+      [int_cmp], [float_cmp]): no second closure per instruction and no
+      polymorphic compare.
 
     Blocked warp groups register on the mbarrier/ring they wait on and
     are re-enqueued by {!Mbarrier.arrive} via the barrier's notify
@@ -38,6 +42,11 @@ open Tawa_ir
 open Tawa_machine
 
 let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
+
+(* [Float.max] with the ordered cases settled by one comparison: only
+   equal operands (signed zeros) and NaN reach the library rule and its
+   sign-bit calls, so the result is the same for every input. *)
+let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
 
 (* Stall buckets — same indices and charging points as the reference
    engine (see the constants atop sim.ml). *)
@@ -261,6 +270,7 @@ type pipes = { mutable tma_free : float; mutable tc_free : float }
 type wg = {
   index : int;
   role : Op.wg_role;
+  ctx : ectx; (* the CTA this WG runs in: units take only the WG *)
   code : code array;
   (* Unit metadata driving the scheduler loop ({!Engine.run_decoded}).
      [lens.(pc)] is how many source instructions the unit at [pc]
@@ -288,7 +298,7 @@ type wg = {
 
 and ectx = {
   cfg : Config.t;
-  wgs : wg array;
+  mutable wgs : wg array; (* set once by [make_ctx], after the WGs exist *)
   mutable pid : int array;
   num_programs : int array;
   mbars : Mbarrier.t array;
@@ -316,7 +326,7 @@ and ectx = {
          recorder does not perturb the decode cache. *)
 }
 
-and code = ectx -> wg -> unit
+and code = wg -> unit
 
 (* Binary min-heap of runnable warp groups keyed [(time, index)] —
    the reference scheduler's selection order. A WG's key is stable
@@ -462,10 +472,10 @@ let rec_op ctx w ~pc ~t0 =
 let wake_mbar_one ctx i bar target w =
   let ct = Mbarrier.completion_time bar target in
   let t0 = w.c.t in
-  let nt = Float.max w.c.t ct +. ctx.cfg.Config.mbar_cycles in
+  let nt = fmax w.c.t ct +. ctx.cfg.Config.mbar_cycles in
   stalled w b_mbar (nt -. w.c.t);
   ctx.mbar_wait.(i) <-
-    ctx.mbar_wait.(i) +. Float.max 0.0 (Float.max w.c.t ct -. w.c.t);
+    ctx.mbar_wait.(i) +. fmax 0.0 (fmax w.c.t ct -. w.c.t);
   Mbarrier.note_consumed bar ~target;
   w.c.t <- nt;
   rec_wait ctx w i ~target ~start:t0 ~ready:ct;
@@ -501,10 +511,10 @@ let wake_mbar ctx i bar =
 let wake_ring_one ctx i ring target w =
   let ct = Mbarrier.completion_time ring target in
   let t0 = w.c.t in
-  let nt = Float.max w.c.t ct +. ctx.cfg.Config.scalar_cycles in
+  let nt = fmax w.c.t ct +. ctx.cfg.Config.scalar_cycles in
   stalled w b_ring (nt -. w.c.t);
   ctx.ring_wait.(i) <-
-    ctx.ring_wait.(i) +. Float.max 0.0 (Float.max w.c.t ct -. w.c.t);
+    ctx.ring_wait.(i) +. fmax 0.0 (fmax w.c.t ct -. w.c.t);
   Mbarrier.note_consumed ring ~target;
   w.c.t <- nt;
   rec_wait ctx w (ring_chan ctx i) ~target ~start:t0 ~ready:ct;
@@ -547,7 +557,7 @@ let release_fences ctx =
     if List.length ctx.fence_waiters >= live then begin
       let tmax =
         List.fold_left
-          (fun acc i -> Float.max acc ctx.wgs.(i).c.t)
+          (fun acc i -> fmax acc ctx.wgs.(i).c.t)
           0.0 ctx.fence_waiters
       in
       List.iter
@@ -657,18 +667,56 @@ let put_of (dst : Isa.reg) (o : Isa.operand) : planes -> unit =
   | Isa.Fimm f -> fun p -> set_float p dst f
   | Isa.Reg r -> fun p -> copy_reg p ~src:r ~dst
 
-let int_binop (op : Op.binop) : int -> int -> int =
+(* Typed scalar semantics for the [Alu]/[Cmp] units, mirroring
+   [Sim.scalar_alu]/[Sim.scalar_cmp] (error strings included). Each is
+   inlined into its unit, so the opcode match runs inside the one
+   closure and every comparison is monomorphic: no second closure per
+   instruction, no polymorphic [compare_val] per integer compare, no
+   boxed floats. [float_op] is [Interp.float_binop] expression for
+   expression; [Min]/[Max] on ints are [Stdlib.min]/[max]. *)
+let[@inline] int_op (op : Op.binop) (x : int) (y : int) =
   match op with
-  | Op.Add -> ( + )
-  | Op.Sub -> ( - )
-  | Op.Mul -> ( * )
-  | Op.Div -> fun x y -> if y = 0 then err "sim: div by zero" else x / y
-  | Op.Rem -> fun x y -> if y = 0 then err "sim: rem by zero" else x mod y
-  | Op.Min -> min
-  | Op.Max -> max
-  | Op.And -> ( land )
-  | Op.Or -> ( lor )
-  | Op.Xor -> ( lxor )
+  | Op.Add -> x + y
+  | Op.Sub -> x - y
+  | Op.Mul -> x * y
+  | Op.Div -> if y = 0 then err "sim: div by zero" else x / y
+  | Op.Rem -> if y = 0 then err "sim: rem by zero" else x mod y
+  | Op.Min -> if x <= y then x else y
+  | Op.Max -> if x >= y then x else y
+  | Op.And -> x land y
+  | Op.Or -> x lor y
+  | Op.Xor -> x lxor y
+
+let[@inline] float_op (op : Op.binop) (a : float) (b : float) =
+  match op with
+  | Op.Add -> a +. b
+  | Op.Sub -> a -. b
+  | Op.Mul -> a *. b
+  | Op.Div -> a /. b
+  | Op.Rem -> Float.rem a b
+  | Op.Min -> Float.min a b
+  | Op.Max -> Float.max a b
+  | Op.And -> Float.of_int (int_of_float a land int_of_float b)
+  | Op.Or -> Float.of_int (int_of_float a lor int_of_float b)
+  | Op.Xor -> Float.of_int (int_of_float a lxor int_of_float b)
+
+let[@inline] int_cmp (op : Op.cmp) (x : int) (y : int) =
+  match op with
+  | Op.Eq -> x = y
+  | Op.Ne -> x <> y
+  | Op.Lt -> x < y
+  | Op.Le -> x <= y
+  | Op.Gt -> x > y
+  | Op.Ge -> x >= y
+
+let[@inline] float_cmp (op : Op.cmp) (x : float) (y : float) =
+  match op with
+  | Op.Eq -> x = y
+  | Op.Ne -> x <> y
+  | Op.Lt -> x < y
+  | Op.Le -> x <= y
+  | Op.Gt -> x > y
+  | Op.Ge -> x >= y
 
 (* Offset operands: the reference reads [List.nth offs 0] and, when
    present, [List.nth offs 1] (extra dims ignored). An empty list
@@ -690,12 +738,10 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
   let tile_cost ~elems ~per_cycle = Sim.tile_cost cfg coop ~elems ~per_cycle in
   match i with
   | Isa.Nop ->
-    fun _ctx w ->
+    fun w ->
       spend w b_compute 1.0;
       w.pc <- w.pc + 1
   | Isa.Alu { op; dst; a; b } -> (
-    let iop = int_binop op in
-    let fop = Interp.float_binop op in
     match (a, b) with
     (* Monolithic arm for the hot register/register shape: real WG
        planes start at capacity 64 and only grow ({!make_ctx}), so for
@@ -704,13 +750,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
        Dispatch, coercions, and error strings mirror the generic path
        (and thus [Sim.step]) exactly. *)
     | Isa.Reg ra, Isa.Reg rb when ra < 64 && rb < 64 && dst < 64 ->
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra
         and tb = Bytes.unsafe_get p.tags rb in
         (if ta = t_int && tb = t_int then begin
            Bytes.unsafe_set p.tags dst t_int;
-           p.ints.(dst) <- iop p.ints.(ra) p.ints.(rb)
+           p.ints.(dst) <- int_op op p.ints.(ra) p.ints.(rb)
          end
          else if ta <= t_float && tb <= t_float then begin
            let fa =
@@ -719,23 +765,23 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
              if tb = t_float then p.floats.(rb) else Float.of_int p.ints.(rb)
            in
            Bytes.unsafe_set p.tags dst t_float;
-           p.floats.(dst) <- fop fa fb
+           p.floats.(dst) <- float_op op fa fb
          end
          else err "sim: bad ALU operands");
         spend w b_compute sc;
         w.pc <- w.pc + 1
     | Isa.Reg ra, Isa.Imm ib when ra < 64 && dst < 64 ->
       let fb = Float.of_int ib in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra in
         (if ta = t_int then begin
            Bytes.unsafe_set p.tags dst t_int;
-           p.ints.(dst) <- iop p.ints.(ra) ib
+           p.ints.(dst) <- int_op op p.ints.(ra) ib
          end
          else if ta = t_float then begin
            Bytes.unsafe_set p.tags dst t_float;
-           p.floats.(dst) <- fop p.floats.(ra) fb
+           p.floats.(dst) <- float_op op p.floats.(ra) fb
          end
          else err "sim: bad ALU operands");
         spend w b_compute sc;
@@ -744,27 +790,25 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let ka = kget a and kb = kget b in
       let ia = iget a and ib = iget b in
       let fa = fget a and fb = fget b in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = ka p and tb = kb p in
-        (if ta = t_int && tb = t_int then set_int p dst (iop (ia p) (ib p))
+        (if ta = t_int && tb = t_int then set_int p dst (int_op op (ia p) (ib p))
          else if ta <= t_float && tb <= t_float then
-           set_float p dst (fop (fa p) (fb p))
+           set_float p dst (float_op op (fa p) (fb p))
          else err "sim: bad ALU operands");
         spend w b_compute sc;
         w.pc <- w.pc + 1)
   | Isa.Cmp { op; dst; a; b } -> (
-    let pred_i : int -> int -> bool = fun x y -> Interp.cmp_pred op x y in
-    let pred_f : float -> float -> bool = fun x y -> Interp.cmp_pred op x y in
     match (a, b) with
     | Isa.Reg ra, Isa.Reg rb when ra < 64 && rb < 64 && dst < 64 ->
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra
         and tb = Bytes.unsafe_get p.tags rb in
         let v =
-          if ta = t_int && tb = t_int then pred_i p.ints.(ra) p.ints.(rb)
-          else pred_f (cmp_coerce p ra ta) (cmp_coerce p rb tb)
+          if ta = t_int && tb = t_int then int_cmp op p.ints.(ra) p.ints.(rb)
+          else float_cmp op (cmp_coerce p ra ta) (cmp_coerce p rb tb)
         in
         Bytes.unsafe_set p.tags dst t_bool;
         Bytes.unsafe_set p.bools dst (if v then '\001' else '\000');
@@ -772,12 +816,12 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     | Isa.Reg ra, Isa.Imm ib when ra < 64 && dst < 64 ->
       let fb = Float.of_int ib in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra in
         let v =
-          if ta = t_int then pred_i p.ints.(ra) ib
-          else pred_f (cmp_coerce p ra ta) fb
+          if ta = t_int then int_cmp op p.ints.(ra) ib
+          else float_cmp op (cmp_coerce p ra ta) fb
         in
         Bytes.unsafe_set p.tags dst t_bool;
         Bytes.unsafe_set p.bools dst (if v then '\001' else '\000');
@@ -787,46 +831,48 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let ka = kget a and kb = kget b in
       let ia = iget a and ib = iget b in
       let ca = cget a and cb = cget b in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         (if ka p = t_int && kb p = t_int then
-           set_bool p dst (pred_i (ia p) (ib p))
-         else set_bool p dst (pred_f (ca p) (cb p)));
+           set_bool p dst (int_cmp op (ia p) (ib p))
+         else set_bool p dst (float_cmp op (ca p) (cb p)));
         spend w b_compute sc;
         w.pc <- w.pc + 1)
   | Isa.Mov { dst; src } -> (
     match src with
     | Isa.Imm i ->
-      fun _ctx w ->
+      fun w ->
         set_int w.planes dst i;
         spend w b_compute sc;
         w.pc <- w.pc + 1
     | Isa.Fimm f ->
-      fun _ctx w ->
+      fun w ->
         set_float w.planes dst f;
         spend w b_compute sc;
         w.pc <- w.pc + 1
     | Isa.Reg r ->
-      fun _ctx w ->
+      fun w ->
         copy_reg w.planes ~src:r ~dst;
         spend w b_compute sc;
         w.pc <- w.pc + 1)
   | Isa.Sel { dst; cond; a; b } ->
     let bc = bget cond in
     let put_a = put_of dst a and put_b = put_of dst b in
-    fun _ctx w ->
+    fun w ->
       let p = w.planes in
       if bc p then put_a p else put_b p;
       spend w b_compute sc;
       w.pc <- w.pc + 1
   | Isa.Pid { dst; axis } ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       let pid = match w.wg_pid with Some p -> p | None -> ctx.pid in
       set_int w.planes dst pid.(axis);
       spend w b_compute sc;
       w.pc <- w.pc + 1
   | Isa.Npid { dst; axis } ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       set_int w.planes dst ctx.num_programs.(axis);
       spend w b_compute sc;
       w.pc <- w.pc + 1
@@ -851,7 +897,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         fun _ ->
           err "sim: descriptor pointer must bind a buffer (or Rnone in timing mode)"
     in
-    fun _ctx w ->
+    fun w ->
       let buffer = read_ptr w.planes in
       set_desc w.planes dst { Sim.buffer; ddtype = dtype };
       spend w b_compute 20.0;
@@ -866,13 +912,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle in
     if functional then begin
       let ts = tget src in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_tensor w.planes dst (Interp.tile_unop op (ts w.planes));
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -880,14 +926,14 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then begin
       let ta = tget a and tb = tget b in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         let p = w.planes in
         set_tensor p dst (Interp.tile_binop op (ta p) (tb p));
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -895,14 +941,14 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then begin
       let ta = tget a and tb = tget b in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         let p = w.planes in
         set_tensor p dst (Interp.tile_cmp op (ta p) (tb p));
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -910,14 +956,14 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then begin
       let tc = tget cond and ta = tget a and tb = tget b in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         let p = w.planes in
         set_tensor p dst (Interp.tile_select (tc p) (ta p) (tb p));
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -925,13 +971,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then begin
       let ts = tget src in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_tensor w.planes dst (Tensor.cast dtype (ts w.planes));
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -941,7 +987,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     if functional then begin
       let shape = Array.of_list shape in
       let fs = fget src in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         let t = Tensor.create ~dtype shape in
         Tensor.fill t (fs w.planes);
@@ -949,19 +995,19 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
   | Isa.Tile_iota { dst; n } ->
     let c = tile_cost ~elems:n ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_tensor w.planes dst (Interp.tile_iota n);
         w.pc <- w.pc + 1
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -970,13 +1016,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
     if functional then begin
       let ts = tget src in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_tensor w.planes dst (Interp.broadcast_to (ts w.planes) shape);
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -984,13 +1030,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     if functional then begin
       let shape = Array.of_list shape in
       let ts = tget src in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         set_tensor w.planes dst (Tensor.reshape (ts w.planes) shape);
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -998,13 +1044,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle:cfg.Config.reduce_elems_per_cycle in
     if functional then begin
       let ts = tget src in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_tensor w.planes dst (Interp.reduce_tensor kind axis (ts w.planes));
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -1012,13 +1058,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let c = tile_cost ~elems ~per_cycle:cfg.Config.trans_elems_per_cycle in
     if functional then begin
       let ts = tget src in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_tensor w.planes dst (Tensor.transpose2 (ts w.planes));
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_compute c;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -1029,9 +1075,10 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let latency = cfg.Config.tma_latency in
     let bar_base = full.Isa.base in
     let bar_idx = iget full.Isa.index in
-    let timing ctx w =
+    let timing w =
+      let ctx = w.ctx in
       spend w b_tma issue;
-      let start = Float.max ctx.pipes.tma_free w.c.t in
+      let start = fmax ctx.pipes.tma_free w.c.t in
       ctx.pipes.tma_free <- start +. busy;
       ctx.stats.Sim.tma_busy <- ctx.stats.Sim.tma_busy +. busy;
       ctx.stats.Sim.tma_bytes <- ctx.stats.Sim.tma_bytes +. bytes;
@@ -1048,8 +1095,9 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let swap = rows = 1 && List.length offs = 1 in
       let alloc = dst.Isa.alloc in
       let islot = iget dst.Isa.slot in
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        let ctx = w.ctx in
+        timing w;
         let p = w.planes in
         let d = dd p in
         (match d.Sim.buffer with
@@ -1063,8 +1111,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        timing w;
         w.pc <- w.pc + 1
   | Isa.Cp_async { ring; desc; offs; dst; rows; cols; dtype; last } ->
     let bytes = Sim.bytes_of ~rows ~cols dtype in
@@ -1073,9 +1121,10 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let busy = Float.of_int bytes /. cfg.Config.cp_async_bytes_per_cycle in
     let fbytes = Float.of_int bytes in
     let latency = cfg.Config.tma_latency in
-    let timing ctx w =
+    let timing w =
+      let ctx = w.ctx in
       spend w b_tma issue;
-      let start = Float.max ctx.pipes.tma_free w.c.t in
+      let start = fmax ctx.pipes.tma_free w.c.t in
       ctx.pipes.tma_free <- start +. busy;
       ctx.stats.Sim.tma_busy <- ctx.stats.Sim.tma_busy +. busy;
       ctx.stats.Sim.tma_bytes <- ctx.stats.Sim.tma_bytes +. fbytes;
@@ -1089,8 +1138,9 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let i0, i1 = compile_offs offs in
       let alloc = dst.Isa.alloc in
       let islot = iget dst.Isa.slot in
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        let ctx = w.ctx in
+        timing w;
         let p = w.planes in
         let d = dd p in
         (match d.Sim.buffer with
@@ -1103,23 +1153,24 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        timing w;
         w.pc <- w.pc + 1
   | Isa.Cp_wait_ring { ring; target } ->
     let itgt = iget target in
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       (* [Mbarrier.try_wait] unrolled to avoid boxing the option. *)
       let tgt = itgt w.planes in
       let rb = ctx.rings.(ring) in
       if tgt <= 0 || Mbarrier.completions rb >= tgt then begin
         let t = if tgt <= 0 then 0.0 else Mbarrier.completion_time rb tgt in
         let t0 = w.c.t in
-        let wait = Float.max w.c.t t -. w.c.t in
+        let wait = fmax w.c.t t -. w.c.t in
         stalled w b_ring wait;
-        ctx.ring_wait.(ring) <- ctx.ring_wait.(ring) +. Float.max 0.0 wait;
+        ctx.ring_wait.(ring) <- ctx.ring_wait.(ring) +. fmax 0.0 wait;
         Mbarrier.note_consumed rb ~target:tgt;
-        w.c.t <- Float.max w.c.t t;
+        w.c.t <- fmax w.c.t t;
         spend w b_ring sc;
         rec_wait ctx w (ring_chan ctx ring) ~target:tgt ~start:t0 ~ready:t;
         w.pc <- w.pc + 1
@@ -1134,7 +1185,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     if functional then begin
       let dd = dget desc in
       let i0, i1 = compile_offs offs in
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         let p = w.planes in
         let d = dd p in
@@ -1147,7 +1198,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -1160,7 +1211,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let alloc = src.Isa.src.Isa.alloc in
       let islot = iget src.Isa.src.Isa.slot in
       let transposed = src.Isa.transposed in
-      fun ctx w ->
+      fun w ->
+        let ctx = w.ctx in
         spend w b_tma cost;
         let t = smem_get ctx alloc (islot w.planes) in
         let t = if transposed then Tensor.transpose2 t else t in
@@ -1168,7 +1220,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -1181,14 +1233,15 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let ts = tget src in
       let alloc = dst.Isa.alloc in
       let islot = iget dst.Isa.slot in
-      fun ctx w ->
+      fun w ->
+        let ctx = w.ctx in
         spend w b_tma cost;
         let p = w.planes in
         smem_set ctx alloc (islot p) (ts p);
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         w.pc <- w.pc + 1
   | Isa.Stg { desc; offs; src; rows; cols } ->
@@ -1199,7 +1252,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     if functional then begin
       let ts = tget src in
       let i0, i1 = compile_offs offs in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let d = dd p in
         let bytes = Float.of_int (Sim.bytes_of ~rows ~cols d.Sim.ddtype) in
@@ -1213,7 +1266,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         let d = dd w.planes in
         let bytes = Float.of_int (Sim.bytes_of ~rows ~cols d.Sim.ddtype) in
         spend w b_tma ((bytes /. stg_bpc /. coop_f) +. stg_lat);
@@ -1221,7 +1274,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
   | Isa.Mbar_arrive { base; index } ->
     let idx = iget index in
     let mc = cfg.Config.mbar_cycles in
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       spend w b_mbar mc;
       let bar = base + idx w.planes in
       rec_completion ctx w bar ctx.mbars.(bar)
@@ -1232,7 +1286,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let idx = iget bar.Isa.index in
     let itgt = iget target in
     let mc = cfg.Config.mbar_cycles in
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       (* [Mbarrier.try_wait] unrolled to avoid boxing the option. *)
       let p = w.planes in
       let b = base + idx p in
@@ -1241,11 +1296,11 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       if tgt <= 0 || Mbarrier.completions mb >= tgt then begin
         let t = if tgt <= 0 then 0.0 else Mbarrier.completion_time mb tgt in
         let t0 = w.c.t in
-        let wait = Float.max w.c.t t -. w.c.t in
+        let wait = fmax w.c.t t -. w.c.t in
         stalled w b_mbar wait;
-        ctx.mbar_wait.(b) <- ctx.mbar_wait.(b) +. Float.max 0.0 wait;
+        ctx.mbar_wait.(b) <- ctx.mbar_wait.(b) +. fmax 0.0 wait;
         Mbarrier.note_consumed mb ~target:tgt;
-        w.c.t <- Float.max w.c.t t;
+        w.c.t <- fmax w.c.t t;
         spend w b_mbar mc;
         rec_wait ctx w b ~target:tgt ~start:t0 ~ready:t;
         w.pc <- w.pc + 1
@@ -1259,23 +1314,24 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let flops = 2.0 *. Float.of_int m *. Float.of_int n *. Float.of_int k in
     let pen1000 = cfg.Config.wgmma_depth_penalty /. 1000.0 in
     let denom = Config.tc_flops_per_cycle cfg dtype *. cfg.Config.tc_efficiency in
-    let timing ctx w =
+    let timing w =
+      let ctx = w.ctx in
       spend w b_tc issue;
       let pressure =
         1.0 +. (pen1000 *. Float.of_int (max 0 (w.wgmma_groups.flen - 1)))
       in
       let dur = flops *. pressure /. denom in
-      let start = Float.max ctx.pipes.tc_free w.c.t in
+      let start = fmax ctx.pipes.tc_free w.c.t in
       ctx.pipes.tc_free <- start +. dur;
       ctx.stats.Sim.tc_busy <- ctx.stats.Sim.tc_busy +. dur;
       ctx.stats.Sim.wgmma_count <- ctx.stats.Sim.wgmma_count + 1;
       w.c.wopen <- start +. dur
     in
     if functional then begin
-      let compile_src (s : Isa.wgmma_src) : ectx -> wg -> Tensor.t =
+      let compile_src (s : Isa.wgmma_src) : wg -> Tensor.t =
         match s with
         | Isa.Wreg r ->
-          fun _ctx w ->
+          fun w ->
             let p = w.planes in
             if r < p.cap && Bytes.get p.tags r = t_tensor then
               match p.objs.(r) with
@@ -1286,15 +1342,16 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
           let alloc = v.Isa.src.Isa.alloc in
           let islot = iget v.Isa.src.Isa.slot in
           let transposed = v.Isa.transposed in
-          fun ctx w ->
+          fun w ->
+            let ctx = w.ctx in
             let t = smem_get ctx alloc (islot w.planes) in
             if transposed then Tensor.transpose2 t else t
       in
       let ra = compile_src a and rb = compile_src b in
-      fun ctx w ->
-        timing ctx w;
-        let ta = ra ctx w in
-        let tb = rb ctx w in
+      fun w ->
+        timing w;
+        let ta = ra w in
+        let tb = rb w in
         let p = w.planes in
         let tacc =
           if acc < p.cap && Bytes.get p.tags acc = t_tensor then
@@ -1307,11 +1364,11 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        timing w;
         w.pc <- w.pc + 1
   | Isa.Wgmma_commit ->
-    fun _ctx w ->
+    fun w ->
       if w.c.wopen >= 0.0 then begin
         fring_push w.wgmma_groups w.c.wopen;
         w.c.wopen <- -1.0
@@ -1319,22 +1376,24 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       spend w b_tc 1.0;
       w.pc <- w.pc + 1
   | Isa.Wgmma_wait n ->
-    fun _ctx w ->
+    fun w ->
       while w.wgmma_groups.flen > n do
         let t = fring_pop w.wgmma_groups in
         stalled w b_tc (t -. w.c.t);
-        w.c.t <- Float.max w.c.t t
+        w.c.t <- fmax w.c.t t
       done;
       spend w b_tc 1.0;
       w.pc <- w.pc + 1
   | Isa.Fence ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       w.state <- Sim.Blocked Sim.On_fence;
       ctx.fence_waiters <- w.index :: ctx.fence_waiters;
       release_fences ctx
   | Isa.Sync_reset ->
     let mc = cfg.Config.mbar_cycles in
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       Array.iteri
         (fun i b ->
           Mbarrier.reset b;
@@ -1347,7 +1406,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       w.pc <- w.pc + 1
   | Isa.Workq_pop { dst } ->
     let cost = cfg.Config.workq_pop_cycles in
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       let round = w.pop_round in
       w.pop_round <- round + 1;
       if round >= ctx.popped_len then begin
@@ -1370,33 +1430,34 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       spend w b_compute cost;
       w.pc <- w.pc + 1
   | Isa.Bra { target } ->
-    fun _ctx w ->
+    fun w ->
       spend w b_compute sc;
       w.pc <- target
   | Isa.Brz { cond; target } -> (
     match cond with
     | Isa.Reg r when r < 64 ->
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bool_at w.planes r then w.pc <- w.pc + 1 else w.pc <- target
     | _ ->
       let bc = bget cond in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bc w.planes then w.pc <- w.pc + 1 else w.pc <- target)
   | Isa.Brnz { cond; target } -> (
     match cond with
     | Isa.Reg r when r < 64 ->
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bool_at w.planes r then w.pc <- target else w.pc <- w.pc + 1
     | _ ->
       let bc = bget cond in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bc w.planes then w.pc <- target else w.pc <- w.pc + 1)
   | Isa.Exit ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.ctx in
       w.state <- Sim.Finished;
       release_fences ctx
 
@@ -1646,27 +1707,7 @@ let is_local ~tc_single ~tma_single (i : Isa.instr) =
    compiled closure once on a zeroed clock and read off the spend.
    Reusing the closure itself guarantees the replayed cost is the
    exact float the closure would have produced. *)
-let make_probe (cfg : Config.t) role : ectx * wg =
-  let w =
-    {
-      index = 0;
-      role;
-      code = [||];
-      lens = [||];
-      local = Bytes.empty;
-      pc = 0;
-      c = { t = 0.0; busy = 0.0; wopen = -1.0 };
-      planes = make_planes 8;
-      state = Sim.Running;
-      wgmma_groups = fring_create ();
-      pop_round = 0;
-      wg_pid = None;
-      instret = 0;
-      in_ready = false;
-      buckets = Array.make Tawa_obs.Stall.num 0.0;
-      cells = [||];
-    }
-  in
+let make_probe (cfg : Config.t) role : wg =
   let ctx =
     {
       cfg;
@@ -1702,14 +1743,32 @@ let make_probe (cfg : Config.t) role : ectx * wg =
       recorder = None;
     }
   in
-  (ctx, w)
+  {
+    index = 0;
+    role;
+    ctx;
+    code = [||];
+    lens = [||];
+    local = Bytes.empty;
+    pc = 0;
+    c = { t = 0.0; busy = 0.0; wopen = -1.0 };
+    planes = make_planes 8;
+    state = Sim.Running;
+    wgmma_groups = fring_create ();
+    pop_round = 0;
+    wg_pid = None;
+    instret = 0;
+    in_ready = false;
+    buckets = Array.make Tawa_obs.Stall.num 0.0;
+    cells = [||];
+  }
 
-let probe_cost (ctx, w) (c : code) =
+let probe_cost w (c : code) =
   w.c.t <- 0.0;
   w.c.busy <- 0.0;
   w.pc <- 0;
   Array.fill w.buckets 0 (Array.length w.buckets) 0.0;
-  c ctx w;
+  c w;
   let b = ref b_compute in
   Array.iteri (fun i v -> if v <> 0.0 then b := i) w.buckets;
   (!b, w.c.t)
@@ -1892,7 +1951,7 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
       let pc_end = !e in
       (if len = 1 then begin
          match einfo.(!pc) with
-         | Some (b, c) -> units.(!pc) <- (fun _ctx w -> spend w b c; w.pc <- pc_end)
+         | Some (b, c) -> units.(!pc) <- (fun w -> spend w b c; w.pc <- pc_end)
          | None -> assert false
        end
        else begin
@@ -1906,7 +1965,7 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
          done;
          let pc0 = !pc in
          units.(!pc) <-
-           (fun _ctx w ->
+           (fun w ->
              (* Members occupy consecutive source pcs; step the pc in
                 lockstep so each replayed cost lands in the member's own
                 attribution cell, exactly as the reference charges it. *)
@@ -1973,24 +2032,24 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
         (units.(h) <-
            (match cs with
            | [| c0; c1 |] ->
-             fun ctx w ->
-               c0 ctx w;
-               c1 ctx w
+             fun w ->
+               c0 w;
+               c1 w
            | [| c0; c1; c2 |] ->
-             fun ctx w ->
-               c0 ctx w;
-               c1 ctx w;
-               c2 ctx w
+             fun w ->
+               c0 w;
+               c1 w;
+               c2 w
            | [| c0; c1; c2; c3 |] ->
-             fun ctx w ->
-               c0 ctx w;
-               c1 ctx w;
-               c2 ctx w;
-               c3 ctx w
+             fun w ->
+               c0 w;
+               c1 w;
+               c2 w;
+               c3 w
            | _ ->
-             fun ctx w ->
+             fun w ->
                for i = 0 to Array.length cs - 1 do
-                 (Array.unsafe_get cs i) ctx w
+                 (Array.unsafe_get cs i) w
                done));
         lens.(h) <- total
       end
@@ -2042,7 +2101,8 @@ let decode ~(cfg : Config.t) (program : Isa.program) : t =
                match instr with
                | Isa.Sync_reset ->
                  let mc = cfg.Config.mbar_cycles in
-                 fun ctx w ->
+                 fun w ->
+                   let ctx = w.ctx in
                    Array.iteri
                      (fun i b ->
                        if reset_mask.(i) then begin
@@ -2165,37 +2225,10 @@ let make_ctx ?recorder (d : t) ~(params : Sim.rt list)
     && Array.length pid >= 3
     && params_conform d.d_pkinds params
   in
-  let wgs =
-    Array.mapi
-      (fun i codes ->
-        let planes = make_planes 64 in
-        (* Kernel params preload registers 0..n-1 (capped at the
-           reference file's initial 64 registers). *)
-        List.iteri (fun r v -> if r < 64 then set_rt planes r v) params;
-        {
-          index = i;
-          role = d.d_roles.(i);
-          code = (if use_opt then d.d_units.(i) else codes);
-          lens = (if use_opt then d.d_lens.(i) else d.d_ones.(i));
-          local = (if use_opt then d.d_local.(i) else d.d_zeros.(i));
-          pc = 0;
-          c = { t = 0.0; busy = 0.0; wopen = -1.0 };
-          planes;
-          state = Sim.Running;
-          wgmma_groups = fring_create ();
-          pop_round = 0;
-          wg_pid = None;
-          instret = 0;
-          in_ready = false;
-          buckets = Array.make Tawa_obs.Stall.num 0.0;
-          cells = Array.make (Array.length codes * Tawa_obs.Stall.num) 0.0;
-        })
-      d.d_codes
-  in
   let ctx =
     {
       cfg = d.d_cfg;
-      wgs;
+      wgs = [||];
       pid;
       num_programs;
       mbars =
@@ -2231,6 +2264,35 @@ let make_ctx ?recorder (d : t) ~(params : Sim.rt list)
       recorder;
     }
   in
+  let wgs =
+    Array.mapi
+      (fun i codes ->
+        let planes = make_planes 64 in
+        (* Kernel params preload registers 0..n-1 (capped at the
+           reference file's initial 64 registers). *)
+        List.iteri (fun r v -> if r < 64 then set_rt planes r v) params;
+        {
+          index = i;
+          role = d.d_roles.(i);
+          ctx;
+          code = (if use_opt then d.d_units.(i) else codes);
+          lens = (if use_opt then d.d_lens.(i) else d.d_ones.(i));
+          local = (if use_opt then d.d_local.(i) else d.d_zeros.(i));
+          pc = 0;
+          c = { t = 0.0; busy = 0.0; wopen = -1.0 };
+          planes;
+          state = Sim.Running;
+          wgmma_groups = fring_create ();
+          pop_round = 0;
+          wg_pid = None;
+          instret = 0;
+          in_ready = false;
+          buckets = Array.make Tawa_obs.Stall.num 0.0;
+          cells = Array.make (Array.length codes * Tawa_obs.Stall.num) 0.0;
+        })
+      d.d_codes
+  in
+  ctx.wgs <- wgs;
   Array.iteri (fun i b -> Mbarrier.set_notify b (fun bar -> wake_mbar ctx i bar)) ctx.mbars;
   Array.iteri (fun i b -> Mbarrier.set_notify b (fun ring -> wake_ring ctx i ring)) ctx.rings;
   ctx
@@ -2289,14 +2351,14 @@ let measure_hwm (d : t) (ctx : ectx) : hwm =
 let profile_of_ctx ~wall (ctx : ectx) : Sim.profile =
   let wg_prof (w : wg) =
     let b = Array.copy w.buckets in
-    b.(Tawa_obs.Stall.idle) <- Float.max 0.0 (wall -. w.c.t);
+    b.(Tawa_obs.Stall.idle) <- fmax 0.0 (wall -. w.c.t);
     let cells = Array.copy w.cells in
     (* Trailing idle lands on the instruction the WG finished on — same
        rule as [Sim.wg_profile], and the pc parks at Exit in both
        engines, so cells stay bit-identical. *)
     let o = (w.pc * Tawa_obs.Stall.num) + Tawa_obs.Stall.idle in
     if o >= 0 && o < Array.length cells then
-      cells.(o) <- cells.(o) +. Float.max 0.0 (wall -. w.c.t);
+      cells.(o) <- cells.(o) +. fmax 0.0 (wall -. w.c.t);
     {
       Sim.p_index = w.index;
       p_role = Op.role_to_string w.role;

@@ -54,7 +54,16 @@ let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
    check stays ahead of execution, so "sim: step budget exhausted"
    fires at the same retired count as the reference. The [in_ready]
    guard covers self-releasing units (a Fence arriving last wakes its
-   own WG): once re-enqueued, the WG must not also keep running. *)
+   own WG): once re-enqueued, the WG must not also keep running.
+
+   After a non-local unit the WG also keeps the slot when it is still
+   the earliest runnable WG: it is [Running], not already re-enqueued,
+   and sorts before the heap top by [(time, index)] (or the heap is
+   empty). That is exactly the WG a push followed by [ready_pop_exn]
+   would return — keys are unique and do not move while enqueued, so
+   the pop order never depends on the heap's layout — hence the push
+   and pop are skipped. The outer loop's budget check is repeated
+   before the next unit, so exhaustion still fires at the same count. *)
 let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
   let wgs = ctx.Decode.wgs in
   Array.iter (fun w -> Decode.ready_push ctx w) wgs;
@@ -62,49 +71,65 @@ let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
   let steps = ref 0 in
   let stats = ctx.Decode.stats in
   let recd = ctx.Decode.recorder in
+  let ready = ctx.Decode.ready in
   while !alive > 0 do
     if !steps >= max_steps then err "sim: step budget exhausted";
-    if ctx.Decode.ready.Decode.n > 0 then begin
+    if ready.Decode.n > 0 then begin
       let w = Decode.ready_pop_exn ctx in
       let code = w.Decode.code
       and lens = w.Decode.lens
       and local = w.Decode.local in
       let lim = Bytes.length local in
-      let continue = ref true in
-      while !continue do
-        let pc = w.Decode.pc in
-        let len = lens.(pc) in
-        steps := !steps + len;
-        if !steps > max_steps then err "sim: step budget exhausted";
-        stats.Sim.steps <- stats.Sim.steps + len;
-        w.Decode.instret <- w.Decode.instret + len;
-        (match recd with
-        | Some r ->
-          (* Op spans per scheduler unit. Collapsed cost blocks span
-             all their members, attributed to the block's first pc. A
-             unit that left [in_ready] set is a self-releasing Fence:
-             its span was already recorded by [release_fences]. *)
-          let t0 = w.Decode.c.Decode.t in
-          code.(pc) ctx w;
-          if (not w.Decode.in_ready) && w.Decode.c.Decode.t > t0 then
-            Tawa_obs.Prof.record_op r ~wg:w.Decode.index ~pc ~t0
-              ~t1:w.Decode.c.Decode.t
-        | None -> code.(pc) ctx w);
+      let slot = ref true in
+      while !slot do
+        let continue = ref true in
+        while !continue do
+          let pc = w.Decode.pc in
+          let len = lens.(pc) in
+          steps := !steps + len;
+          if !steps > max_steps then err "sim: step budget exhausted";
+          stats.Sim.steps <- stats.Sim.steps + len;
+          w.Decode.instret <- w.Decode.instret + len;
+          (match recd with
+          | Some r ->
+            (* Op spans per scheduler unit. Collapsed cost blocks span
+               all their members, attributed to the block's first pc. A
+               unit that left [in_ready] set is a self-releasing Fence:
+               its span was already recorded by [release_fences]. *)
+            let t0 = w.Decode.c.Decode.t in
+            code.(pc) w;
+            if (not w.Decode.in_ready) && w.Decode.c.Decode.t > t0 then
+              Tawa_obs.Prof.record_op r ~wg:w.Decode.index ~pc ~t0
+                ~t1:w.Decode.c.Decode.t
+          | None -> code.(pc) w);
+          match w.Decode.state with
+          | Sim.Running
+            when (not w.Decode.in_ready)
+                 && w.Decode.pc < lim
+                 && Bytes.get local w.Decode.pc <> '\000' ->
+            ()
+          | _ -> continue := false
+        done;
+        (* Only the executing WG can finish; blocked WGs re-enter the
+           heap via the wake hooks (possibly already, if this very
+           instruction released them). *)
         match w.Decode.state with
-        | Sim.Running
-          when (not w.Decode.in_ready)
-               && w.Decode.pc < lim
-               && Bytes.get local w.Decode.pc <> '\000' ->
-          ()
-        | _ -> continue := false
-      done;
-      (* Only the executing WG can finish; blocked WGs re-enter the
-         heap via the wake hooks (possibly already, if this very
-         instruction released them). *)
-      match w.Decode.state with
-      | Sim.Running -> Decode.ready_push ctx w
-      | Sim.Finished -> decr alive
-      | Sim.Blocked _ -> ()
+        | Sim.Running ->
+          if
+            (not w.Decode.in_ready)
+            && (ready.Decode.n = 0 || Decode.wg_before w ready.Decode.heap.(0))
+          then begin
+            if !steps >= max_steps then err "sim: step budget exhausted"
+          end
+          else begin
+            Decode.ready_push ctx w;
+            slot := false
+          end
+        | Sim.Finished ->
+          decr alive;
+          slot := false
+        | Sim.Blocked _ -> slot := false
+      done
     end
     else
       let blocked =
@@ -161,7 +186,9 @@ let resolve (cfg : Config.t) : Config.engine =
 (* ------------------------- decode caching ------------------------- *)
 
 let decode_cache : Decode.t Progcache.t = Progcache.create ~name:"engine.decode" ()
-let clear_decode_cache () = Progcache.clear decode_cache
+let clear_decode_cache () =
+  Progcache.clear decode_cache;
+  Progcache.clear_program_fingerprints ()
 let decode_cache_stats () = Progcache.stats decode_cache
 
 (* Cost-model fields change the compiled closures (costs are folded at
@@ -170,12 +197,26 @@ let decode_cache_stats () = Progcache.stats decode_cache
    choice itself. The execution mode is keyed separately (readably) so
    functional and timing decodes of the same program never alias; the
    timing-optimization flag joins it because flipping it mid-process
-   (bench baseline passes) must not serve stale streams. *)
+   (bench baseline passes) must not serve stale streams.
+
+   Launches re-derive their config record per call ([Launch] sets the
+   mode), so the digest of the last config is memoized by structural
+   equality. [Config.t] is plain data (ints, floats, constant
+   constructors), so [=] agrees with the marshalled bytes except on
+   NaN fields (never equal: they re-digest) and on signed zeros, which
+   no cost-model rate or latency carries. *)
+let last_cfg_digest : (Config.t * string) option Atomic.t = Atomic.make None
+
 let cfg_digest (cfg : Config.t) =
-  let norm =
-    { cfg with Config.collect_trace = false; engine = None; mode = Config.Timing }
-  in
-  Digest.to_hex (Digest.string (Marshal.to_string norm []))
+  match Atomic.get last_cfg_digest with
+  | Some (c, d) when c = cfg -> d
+  | _ ->
+    let norm =
+      { cfg with Config.collect_trace = false; engine = None; mode = Config.Timing }
+    in
+    let d = Digest.to_hex (Digest.string (Marshal.to_string norm [])) in
+    Atomic.set last_cfg_digest (Some (cfg, d));
+    d
 
 let cache_key (cfg : Config.t) program =
   Progcache.program_fingerprint program

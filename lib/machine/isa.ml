@@ -158,6 +158,13 @@ type prov = {
 
 let no_prov = { srcmaps = [||]; opmeta = [||]; mbar_labels = [||]; ring_labels = [||] }
 
+(** A lowered program. Programs are immutable once codegen returns
+    them: nothing writes into their arrays ([instrs], the barrier
+    tables, the provenance maps) or rebuilds them in place. Caches rely
+    on it — {!Progcache.program_fingerprint} memoizes each program's
+    digest by physical identity, and the decode cache and the
+    replication verdicts are keyed by that digest — so a program that
+    needs changing must be built as a new value. *)
 type program = {
   name : string;
   param_tys : Types.ty list;

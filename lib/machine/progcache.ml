@@ -230,11 +230,53 @@ let kernel_fingerprint (k : Kernel.t) =
   region k.Kernel.body;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* Program fingerprints memoized by physical identity. Lowered
+   programs are immutable (the contract stated on {!Isa.program}), so a
+   program's digest never changes, and a launch that re-presents the
+   same program object — every estimate of a sweep point, every CTA
+   wave — pays one hash-table probe instead of marshalling and
+   digesting the whole program. The table holds its programs strongly
+   (a weak-key ephemeron table delays the major GC enough to raise the
+   sweep benchmark's peak RSS by a third), so it is bounded like a
+   cache: emptied when it reaches [max_fingerprints] entries, and by
+   {!clear_program_fingerprints} together with the caches it keys. The
+   lock makes it safe to share across the domain pool. *)
+module Phys = Hashtbl.Make (struct
+  type t = Isa.program
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let fingerprints : string Phys.t = Phys.create 64
+let fingerprints_lock = Mutex.create ()
+let max_fingerprints = 512
+
+(** Empty the program-fingerprint memo (its programs become
+    collectable); [Engine.clear_decode_cache] calls it. *)
+let clear_program_fingerprints () =
+  Mutex.lock fingerprints_lock;
+  Phys.reset fingerprints;
+  Mutex.unlock fingerprints_lock
+
 (** Content fingerprint of a machine program: digest of its marshalled
     form. [Isa.program] is pure data (no closures, no cycles), and
     register/alloc/barrier ids are assigned densely per program by
     codegen, so structural equality implies identical marshalling.
     Keys the decode cache ({!Engine}) the way {!kernel_fingerprint}
-    keys the compile cache. *)
+    keys the compile cache. Computed once per program object (see
+    [fingerprints] above); structurally equal programs built separately
+    digest to the same value. *)
 let program_fingerprint (p : Isa.program) =
-  Digest.to_hex (Digest.string (Marshal.to_string p []))
+  Mutex.lock fingerprints_lock;
+  let memo = Phys.find_opt fingerprints p in
+  Mutex.unlock fingerprints_lock;
+  match memo with
+  | Some fp -> fp
+  | None ->
+    let fp = Digest.to_hex (Digest.string (Marshal.to_string p [])) in
+    Mutex.lock fingerprints_lock;
+    if Phys.length fingerprints >= max_fingerprints then Phys.reset fingerprints;
+    Phys.replace fingerprints p fp;
+    Mutex.unlock fingerprints_lock;
+    fp

@@ -115,76 +115,87 @@ let test_scalar_mix () =
              Isa.Bra { target = 1 };
              Isa.Exit ] ])
 
-let test_tma_mbar () =
+let tma_mbar_program =
   let rows = 64 and cols = 64 in
-  check_both "tma + mbar wait" ~params:[ Sim.Rnone ]
-    (mk_program ~num_mbarriers:2 ~arrive:[| 1; 1 |]
-       ~allocs:[ { Isa.alloc_id = 0; slots = 2; bytes_per_slot = rows * cols * 2; label = "t" } ]
-       ~param_tys:[ Types.ptr Dtype.F16 ]
-       [ stream
-           [ Isa.Mkdesc { dst = 1; ptr = Isa.Reg 0; sizes = []; strides = []; dtype = Dtype.F16 };
-             Isa.Tma_load
-               { desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ];
-                 dst = { Isa.alloc = 0; slot = Isa.Imm 0 }; rows; cols; dtype = Dtype.F16;
-                 full = { Isa.base = 0; index = Isa.Imm 0 } };
-             Isa.Tma_load
-               { desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ];
-                 dst = { Isa.alloc = 0; slot = Isa.Imm 1 }; rows; cols; dtype = Dtype.F16;
-                 full = { Isa.base = 1; index = Isa.Imm 0 } };
-             Isa.Mbar_wait { bar = { Isa.base = 1; index = Isa.Imm 0 }; target = Isa.Imm 1 };
-             Isa.Exit ] ])
+  mk_program ~num_mbarriers:2 ~arrive:[| 1; 1 |]
+    ~allocs:[ { Isa.alloc_id = 0; slots = 2; bytes_per_slot = rows * cols * 2; label = "t" } ]
+    ~param_tys:[ Types.ptr Dtype.F16 ]
+    [ stream
+        [ Isa.Mkdesc { dst = 1; ptr = Isa.Reg 0; sizes = []; strides = []; dtype = Dtype.F16 };
+          Isa.Tma_load
+            { desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ];
+              dst = { Isa.alloc = 0; slot = Isa.Imm 0 }; rows; cols; dtype = Dtype.F16;
+              full = { Isa.base = 0; index = Isa.Imm 0 } };
+          Isa.Tma_load
+            { desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ];
+              dst = { Isa.alloc = 0; slot = Isa.Imm 1 }; rows; cols; dtype = Dtype.F16;
+              full = { Isa.base = 1; index = Isa.Imm 0 } };
+          Isa.Mbar_wait { bar = { Isa.base = 1; index = Isa.Imm 0 }; target = Isa.Imm 1 };
+          Isa.Exit ] ]
+
+let test_tma_mbar () = check_both "tma + mbar wait" ~params:[ Sim.Rnone ] tma_mbar_program
+
+(* Consumer blocks on the mbar before the producer arrives: exercises
+   the decoded engine's event-driven wake path. The Nops skew the
+   producer's clock so the consumer genuinely blocks. *)
+let mbar_wake_program =
+  mk_program ~num_mbarriers:1 ~arrive:[| 1 |]
+    [ stream ~role:Op.Producer
+        [ Isa.Nop; Isa.Nop; Isa.Nop; Isa.Nop;
+          Isa.Mbar_arrive { base = 0; index = Isa.Imm 0 }; Isa.Exit ];
+      stream
+        [ Isa.Mbar_wait { bar = { Isa.base = 0; index = Isa.Imm 0 }; target = Isa.Imm 1 };
+          Isa.Exit ] ]
+
+let ring_wake_program =
+  mk_program ~num_rings:1 ~param_tys:[ Types.ptr Dtype.F16 ]
+    ~allocs:[ { Isa.alloc_id = 0; slots = 2; bytes_per_slot = 64; label = "r" } ]
+    [ stream ~role:Op.Producer
+        [ Isa.Mkdesc { dst = 1; ptr = Isa.Reg 0; sizes = []; strides = []; dtype = Dtype.F16 };
+          Isa.Cp_async
+            { ring = 0; desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ];
+              dst = { Isa.alloc = 0; slot = Isa.Imm 0 }; rows = 4; cols = 4;
+              dtype = Dtype.F16; last = true };
+          Isa.Exit ];
+      stream
+        [ Isa.Cp_wait_ring { ring = 0; target = Isa.Imm 1 }; Isa.Exit ] ]
 
 let test_cross_wg_wake () =
-  (* Consumer blocks on the mbar before the producer arrives: exercises
-     the decoded engine's event-driven wake path. The Nops skew the
-     producer's clock so the consumer genuinely blocks. *)
-  check_both "mbar producer/consumer"
-    (mk_program ~num_mbarriers:1 ~arrive:[| 1 |]
-       [ stream ~role:Op.Producer
-           [ Isa.Nop; Isa.Nop; Isa.Nop; Isa.Nop;
-             Isa.Mbar_arrive { base = 0; index = Isa.Imm 0 }; Isa.Exit ];
-         stream
-           [ Isa.Mbar_wait { bar = { Isa.base = 0; index = Isa.Imm 0 }; target = Isa.Imm 1 };
-             Isa.Exit ] ]);
-  check_both "ring producer/consumer" ~params:[ Sim.Rnone ]
-    (mk_program ~num_rings:1 ~param_tys:[ Types.ptr Dtype.F16 ]
-       ~allocs:[ { Isa.alloc_id = 0; slots = 2; bytes_per_slot = 64; label = "r" } ]
-       [ stream ~role:Op.Producer
-           [ Isa.Mkdesc { dst = 1; ptr = Isa.Reg 0; sizes = []; strides = []; dtype = Dtype.F16 };
-             Isa.Cp_async
-               { ring = 0; desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ];
-                 dst = { Isa.alloc = 0; slot = Isa.Imm 0 }; rows = 4; cols = 4;
-                 dtype = Dtype.F16; last = true };
-             Isa.Exit ];
-         stream
-           [ Isa.Cp_wait_ring { ring = 0; target = Isa.Imm 1 }; Isa.Exit ] ])
+  check_both "mbar producer/consumer" mbar_wake_program;
+  check_both "ring producer/consumer" ~params:[ Sim.Rnone ] ring_wake_program
+
+let two_wg_fence_program =
+  mk_program [ stream [ Isa.Nop; Isa.Fence; Isa.Exit ]; stream [ Isa.Fence; Isa.Exit ] ]
+
+let wgmma_program =
+  mk_program
+    [ stream
+        [ Isa.Wgmma { a = Isa.Wreg 0; b = Isa.Wreg 1; acc = 2; m = 64; n = 64; k = 16;
+                      dtype = Dtype.F16 };
+          Isa.Wgmma_commit;
+          Isa.Wgmma { a = Isa.Wreg 0; b = Isa.Wreg 1; acc = 2; m = 64; n = 64; k = 16;
+                      dtype = Dtype.F16 };
+          Isa.Wgmma_commit;
+          Isa.Wgmma_wait 0;
+          Isa.Exit ] ]
 
 let test_fence_and_wgmma () =
-  check_both "two-wg fence"
-    (mk_program
-       [ stream [ Isa.Nop; Isa.Fence; Isa.Exit ]; stream [ Isa.Fence; Isa.Exit ] ]);
-  check_both "wgmma pipeline"
-    (mk_program
-       [ stream
-           [ Isa.Wgmma { a = Isa.Wreg 0; b = Isa.Wreg 1; acc = 2; m = 64; n = 64; k = 16;
-                         dtype = Dtype.F16 };
-             Isa.Wgmma_commit;
-             Isa.Wgmma { a = Isa.Wreg 0; b = Isa.Wreg 1; acc = 2; m = 64; n = 64; k = 16;
-                         dtype = Dtype.F16 };
-             Isa.Wgmma_commit;
-             Isa.Wgmma_wait 0;
-             Isa.Exit ] ])
+  check_both "two-wg fence" two_wg_fence_program;
+  check_both "wgmma pipeline" wgmma_program
+
+let persistent_pop () = Launch.queue_of_list [ 0; 3; 5; 14 ]
+
+let persistent_program =
+  mk_program ~persistent:true
+    [ stream
+        [ (* 0 *) Isa.Workq_pop { dst = 0 };
+          (* 1 *) Isa.Cmp { op = Op.Lt; dst = 1; a = Isa.Reg 0; b = Isa.Imm 0 };
+          (* 2 *) Isa.Brnz { cond = Isa.Reg 1; target = 4 };
+          (* 3 *) Isa.Bra { target = 0 };
+          (* 4 *) Isa.Exit ] ]
 
 let test_persistent_queue () =
-  let mk_pop () = Launch.queue_of_list [ 0; 3; 5; 14 ] in
-  check_both "persistent work queue" ~mk_pop
-    (mk_program ~persistent:true
-       [ stream
-           [ (* 0 *) Isa.Workq_pop { dst = 0 };
-             (* 1 *) Isa.Cmp { op = Op.Lt; dst = 1; a = Isa.Reg 0; b = Isa.Imm 0 };
-             (* 2 *) Isa.Brnz { cond = Isa.Reg 1; target = 4 };
-             (* 3 *) Isa.Bra { target = 0 };
-             (* 4 *) Isa.Exit ] ])
+  check_both "persistent work queue" ~mk_pop:persistent_pop persistent_program
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions                                               *)
@@ -287,6 +298,22 @@ let test_decode_cache () =
     let s = Engine.decode_cache_stats () in
     Alcotest.(check int) "config change misses" 2 s.Progcache.misses
   end
+
+(* The fingerprint memo is keyed by physical identity but must always
+   answer with the content digest: equal for a structurally equal
+   copy, and unchanged after the memo is emptied. *)
+let test_fingerprint_memo () =
+  let p = mk_program [ stream [ Isa.Nop; Isa.Exit ] ] in
+  let content = Digest.to_hex (Digest.string (Marshal.to_string p [])) in
+  Alcotest.(check string) "content digest" content (Progcache.program_fingerprint p);
+  Alcotest.(check string) "memoized" content (Progcache.program_fingerprint p);
+  let copy : Isa.program = Marshal.from_string (Marshal.to_string p []) 0 in
+  Alcotest.(check string) "structural copy" content (Progcache.program_fingerprint copy);
+  Engine.clear_decode_cache ();
+  Alcotest.(check string) "after clear" content (Progcache.program_fingerprint p);
+  let other = mk_program [ stream [ Isa.Nop; Isa.Nop; Isa.Exit ] ] in
+  Alcotest.(check bool) "distinct program, distinct digest" true
+    (Progcache.program_fingerprint other <> content)
 
 (* ------------------------------------------------------------------ *)
 (* Typed register planes vs rt-array model                             *)
@@ -490,6 +517,211 @@ let test_coop_diff () =
   Alcotest.(check bool) "coop=2 timing diff" true
     (gemm_timing_diff compiled ~bm:16 ~bn:16 ~kk:16 ~grid_m:2 ~grid_n:2)
 
+(* ------------------------------------------------------------------ *)
+(* Scalar units: opcode x operand shape x operand kind                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The decoded engine compiles [Alu]/[Cmp] into three arms per opcode:
+   register/register and register/immediate arms for registers below
+   64 (the planes' floor capacity), and a generic arm for everything
+   else. Random single-stream programs of Mov/Alu/Cmp/Sel reach every
+   arm with every kind of value, including the ones that make the
+   reference raise. Functional runs also compare the final register
+   files (floats by their bits); timing runs exercise dead-write
+   elision, which must never swallow an error. *)
+
+let sc_ints = [ 0; 1; -1; min_int; max_int; 3; -7 ]
+
+let sc_floats =
+  [ Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 4.9e-324; 1.5; -2.25;
+    3.0; -7.0 ]
+
+let sc_binops =
+  Op.[ Add; Sub; Mul; Div; Rem; Min; Max; And; Or; Xor ]
+
+let sc_cmps = Op.[ Eq; Ne; Lt; Le; Gt; Ge ]
+let sc_nparams = 8
+let sc_tensor = Tensor.create ~dtype:Dtype.F16 [| 2; 2 |]
+
+let gen_sc_param =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun i -> Sim.Rint i) (oneofl sc_ints));
+        (4, map (fun f -> Sim.Rfloat f) (oneofl sc_floats));
+        (2, map (fun b -> Sim.Rbool b) bool);
+        (1, return Sim.Rnone);
+        (1, return (Sim.Rtensor sc_tensor)) ])
+
+(* Low registers hit the monolithic arms, high ones the generic arm. *)
+let gen_sc_reg = QCheck.Gen.(oneof [ int_range 0 15; int_range 64 71 ])
+
+let gen_sc_operand =
+  QCheck.Gen.(
+    frequency
+      [ (2, map (fun r -> Isa.Reg r) (int_range 0 15));
+        (1, map (fun r -> Isa.Reg r) (int_range 64 71));
+        (1, map (fun i -> Isa.Imm i) (oneofl sc_ints));
+        (1, map (fun f -> Isa.Fimm f) (oneofl sc_floats)) ])
+
+let gen_sc_instr =
+  QCheck.Gen.(
+    frequency
+      [ (1, map2 (fun dst src -> Isa.Mov { dst; src }) gen_sc_reg gen_sc_operand);
+        ( 3,
+          map4
+            (fun op dst a b -> Isa.Alu { op; dst; a; b })
+            (oneofl sc_binops) gen_sc_reg gen_sc_operand gen_sc_operand );
+        ( 2,
+          map4
+            (fun op dst a b -> Isa.Cmp { op; dst; a; b })
+            (oneofl sc_cmps) gen_sc_reg gen_sc_operand gen_sc_operand );
+        ( 1,
+          map4
+            (fun dst cond a b -> Isa.Sel { dst; cond; a; b })
+            gen_sc_reg gen_sc_operand gen_sc_operand gen_sc_operand ) ])
+
+let sc_print (params, instrs) =
+  let rt = function
+    | Sim.Rint i -> string_of_int i
+    | Sim.Rfloat f -> Printf.sprintf "%h" f
+    | Sim.Rbool b -> string_of_bool b
+    | Sim.Rnone -> "none"
+    | Sim.Rtensor _ -> "tensor"
+    | Sim.Rdesc _ -> "desc"
+  in
+  Printf.sprintf "params [%s]\n%s"
+    (String.concat "; " (List.map rt params))
+    (String.concat "\n" (List.map Isa.to_string instrs))
+
+let arb_scalar_prog =
+  QCheck.make ~print:sc_print
+    QCheck.Gen.(
+      pair
+        (list_repeat sc_nparams gen_sc_param)
+        (list_size (int_range 1 12) gen_sc_instr))
+
+(* Parameter types the launch conforms to, so timing runs take the
+   optimized (elided) streams. *)
+let sc_param_ty = function
+  | Sim.Rint _ -> Types.TScalar Dtype.I32
+  | Sim.Rfloat _ | Sim.Rbool _ -> Types.TScalar Dtype.F32
+  | _ -> Types.ptr Dtype.F16
+
+let rt_same (a : Sim.rt) (b : Sim.rt) =
+  match (a, b) with
+  | Sim.Rfloat x, Sim.Rfloat y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Sim.Rtensor x, Sim.Rtensor y -> x == y
+  | Sim.Rdesc _, _ | _, Sim.Rdesc _ -> false
+  | _ -> a = b
+
+let sc_regs = List.init 16 Fun.id @ List.init 8 (fun i -> 64 + i)
+
+(* One CTA on one engine: the outcome plus the final register values,
+   or the engine's error message. *)
+let run_scalar engine cfg p params =
+  let num_programs = [| 1; 1; 1 |] in
+  try
+    match engine with
+    | Config.Reference ->
+      let cta =
+        Sim.create ~cfg ~program:p ~params ~num_programs ~pop_global:Launch.no_queue ()
+      in
+      let o = Sim.run cta in
+      Ok (o, List.map (Sim.reg_read cta.Sim.wgs.(0)) sc_regs)
+    | Config.Decoded -> (
+      match Engine.prepare ~cfg:{ cfg with Config.engine = Some Config.Decoded } p with
+      | Engine.Pdec d ->
+        let ctx =
+          Decode.make_ctx d ~params ~num_programs ~pid:[| 0; 0; 0 |]
+            ~pop_global:Launch.no_queue
+        in
+        let o = Engine.run_decoded ctx in
+        let planes = ctx.Decode.wgs.(0).Decode.planes in
+        Ok (o, List.map (Decode.get_rt planes) sc_regs)
+      | Engine.Pref _ -> Alcotest.fail "decoded engine not selected")
+  with Sim.Sim_error m -> Error m
+
+let prop_scalar_units =
+  QCheck.Test.make ~count:1000
+    ~name:"scalar units: decoded == reference per opcode x operand shape x kind"
+    arb_scalar_prog (fun (params, instrs) ->
+      let p =
+        mk_program ~param_tys:(List.map sc_param_ty params)
+          [ stream (instrs @ [ Isa.Exit ]) ]
+      in
+      List.for_all
+        (fun (cfg, compare_regs) ->
+          match (run_scalar Config.Reference cfg p params,
+                 run_scalar Config.Decoded cfg p params) with
+          | Ok (o_r, regs_r), Ok (o_d, regs_d) ->
+            outcomes_equal o_r o_d
+            && ((not compare_regs) || List.for_all2 rt_same regs_r regs_d)
+          | Error m_r, Error m_d -> m_r = m_d
+          | Ok _, Error m -> QCheck.Test.fail_reportf "only decoded raised: %s" m
+          | Error m, Ok _ -> QCheck.Test.fail_reportf "only reference raised: %s" m)
+        [ (Config.functional_test, true); (cfg, false) ])
+
+(* ------------------------------------------------------------------ *)
+(* Step-budget parity                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The decoded engine charges the budget per source instruction ahead
+   of execution, across cost blocks, superblocks and stay-in-slot
+   continuation, so it must exhaust exactly where the reference does.
+   For every budget around the full run's step count S, both engines
+   succeed with equal outcomes (exactly when budget >= S) or both
+   raise the same error. *)
+let check_budget_parity ?(params = []) ?(mk_pop = fun () -> Launch.no_queue)
+    ?(num_programs = [| 4; 4; 1 |]) name p =
+  let run engine max_steps =
+    try
+      Ok
+        (Engine.run_cta ?max_steps
+           ~cfg:{ cfg with Config.engine = Some engine }
+           ~program:p ~params ~num_programs ~pop_global:(mk_pop ()) ())
+    with Sim.Sim_error m -> Error m
+  in
+  let s =
+    match run Config.Reference None with
+    | Ok o -> o.Sim.stats.Sim.steps
+    | Error m -> Alcotest.failf "%s: full run failed: %s" name m
+  in
+  for budget = max 1 (s - 64) to s + 1 do
+    match (run Config.Reference (Some budget), run Config.Decoded (Some budget)) with
+    | Ok o_r, Ok o_d ->
+      if budget < s then Alcotest.failf "%s: budget %d < %d steps succeeded" name budget s;
+      if not (outcomes_equal o_r o_d) then
+        Alcotest.failf "%s: budget %d: outcomes differ" name budget
+    | Error m_r, Error m_d ->
+      if budget >= s then Alcotest.failf "%s: budget %d >= %d steps failed: %s" name budget s m_r;
+      Alcotest.(check string) (Printf.sprintf "%s: budget %d" name budget)
+        "sim: step budget exhausted" m_r;
+      Alcotest.(check string) (Printf.sprintf "%s: budget %d decoded" name budget) m_r m_d
+    | Ok _, Error m -> Alcotest.failf "%s: budget %d: only decoded raised: %s" name budget m
+    | Error m, Ok _ -> Alcotest.failf "%s: budget %d: only reference raised: %s" name budget m
+  done
+
+let test_budget_parity () =
+  check_budget_parity "tma + mbar wait" ~params:[ Sim.Rnone ] tma_mbar_program;
+  check_budget_parity "cross-wg wake (mbar)" mbar_wake_program;
+  check_budget_parity "cross-wg wake (ring)" ~params:[ Sim.Rnone ] ring_wake_program;
+  check_budget_parity "two-wg fence" two_wg_fence_program;
+  check_budget_parity "wgmma pipeline" wgmma_program;
+  check_budget_parity "persistent work queue" ~mk_pop:persistent_pop persistent_program;
+  (* A compiled warp-specialized GEMM in timing mode: cost blocks,
+     superblocks and cross-WG aref traffic in one run. *)
+  let tiles = { Tawa_frontend.Kernels.block_m = 64; block_n = 64; block_k = 32 } in
+  let compiled =
+    Flow.compile
+      ~options:
+        { Flow.default_options with aref_depth = 2; mma_depth = 2; num_consumer_wgs = 1;
+          persistent = false; use_coarse = false }
+      (Tawa_frontend.Kernels.gemm ~tiles ())
+  in
+  check_budget_parity "warp-specialized gemm" ~num_programs:[| 2; 2; 1 |]
+    ~params:[ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint 128; Sim.Rint 128; Sim.Rint 256 ]
+    compiled.Flow.program
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -504,7 +736,7 @@ let suites =
         Alcotest.test_case "attention coarse pipeline" `Quick test_attention_diff;
         Alcotest.test_case "cooperative warp groups" `Quick test_coop_diff;
       ]
-      @ qsuite [ prop_engine_fuzz ] );
+      @ qsuite [ prop_engine_fuzz; prop_scalar_units ] );
     ( "engine.regressions",
       [
         Alcotest.test_case "fence released on exit" `Quick test_fence_released_on_exit;
@@ -512,6 +744,8 @@ let suites =
         Alcotest.test_case "ldg bandwidth config" `Quick test_ldg_bandwidth_config;
         Alcotest.test_case "engine selection" `Quick test_engine_selection;
         Alcotest.test_case "decode cache" `Quick test_decode_cache;
+        Alcotest.test_case "fingerprint memo" `Quick test_fingerprint_memo;
+        Alcotest.test_case "step-budget parity" `Quick test_budget_parity;
       ] );
     ("engine.planes", qsuite [ prop_planes_model ]);
   ]

@@ -12,13 +12,18 @@
    bits of their [Gallery.check] error), the four shipped .tw kernels
    through the Tawa pipeline on both CTA engines and through the IR
    interpreter, and a causal attention kernel (iota/cmp/select
-   epilogue) on the same three executors. *)
+   epilogue) on the same three executors.
+
+   [timing.golden] does the same for paper-scale timing estimates (see
+   the section below). *)
 
 open Tawa_tensor
 open Tawa_ir
 open Tawa_frontend
 open Tawa_gpusim
 module Flow = Tawa_core.Flow
+module Autotune = Tawa_core.Autotune
+module Workloads = Tawa_core.Workloads
 module Graph = Tawa_graph.Graph
 module Gallery = Tawa_graph.Gallery
 
@@ -173,6 +178,106 @@ let cases =
       c_digest = "f7602766e995fddfcc7f492a7a94f207" };
   ]
 
+(* ------------------------- timing points ------------------------- *)
+
+(* Paper-scale timing outputs. The engine differentials compare the
+   two CTA engines with each other on small programs and 2x2 grids;
+   nothing else pins what [Launch.estimate] reports for a Fig. 8 or
+   Fig. 10 point across commits. Each entry hashes the bits of the
+   estimate's cycles, TFLOPS, tensor-core utilization, stats and the
+   representative CTA's profile (per-WG clocks, buckets and per-op
+   cells, channel profiles). The expected values were recorded before
+   the decoded engine's dispatch was reworked; the K=256 GEMM points
+   also run on the reference engine, which must reproduce the same
+   digest. *)
+
+let digest_timing (t : Launch.timing) =
+  let b = Buffer.create 8192 in
+  let f x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let i x = Buffer.add_int64_le b (Int64.of_int x) in
+  let s = t.Launch.stats in
+  List.iter f [ t.Launch.cycles; t.Launch.tflops; t.Launch.tc_utilization;
+                s.Sim.tc_busy; s.Sim.tma_busy; s.Sim.tma_bytes ];
+  List.iter i [ s.Sim.wgmma_count; s.Sim.tma_count; s.Sim.steps ];
+  (match t.Launch.profile with
+  | None -> Buffer.add_char b 'N'
+  | Some p ->
+    f p.Sim.wall;
+    Array.iter
+      (fun (w : Sim.wg_prof) ->
+        i w.Sim.p_index;
+        Buffer.add_string b w.Sim.p_role;
+        f w.Sim.p_time;
+        f w.Sim.p_busy;
+        i w.Sim.p_instret;
+        Array.iter f w.Sim.p_buckets;
+        Array.iter f w.Sim.p_cells)
+      p.Sim.wg_profs;
+    Array.iter
+      (fun (c : Sim.chan_prof) ->
+        Buffer.add_string b c.Sim.c_kind;
+        List.iter i [ c.Sim.c_id; c.Sim.c_arrivals; c.Sim.c_completions;
+                      c.Sim.c_max_pending; c.Sim.c_max_inflight ];
+        f c.Sim.c_wait)
+      p.Sim.chan_profs);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Candidates by role in [Autotune.space]'s fixed order. *)
+let first_where what pred family =
+  match List.find_opt pred (Autotune.space family) with
+  | Some c -> c
+  | None -> Alcotest.failf "no %s candidate" what
+
+let pick_first = first_where "first" (fun _ -> true)
+let pick_coop = first_where "cooperative" (fun c -> c.Autotune.coop > 1)
+let pick_persistent = first_where "persistent" (fun c -> c.Autotune.persistent)
+let pick_coarse = first_where "coarse" (fun c -> c.Autotune.coarse)
+
+type tpoint = {
+  t_name : string;
+  t_family : Autotune.family;
+  t_pick : Autotune.family -> Autotune.candidate;
+  t_reference : bool;  (* also run on the reference engine *)
+  t_digest : string;
+}
+
+let gemm_points dtype tag k ~reference digests =
+  List.map2
+    (fun (what, pick) digest ->
+      { t_name = Printf.sprintf "fig8 %s K=%d %s" tag k what;
+        t_family = Autotune.Gemm (Workloads.paper_gemm ~dtype k);
+        t_pick = pick; t_reference = reference; t_digest = digest })
+    [ ("first", pick_first); ("coop", pick_coop); ("persistent", pick_persistent) ]
+    digests
+
+let mha_points ~causal digests =
+  List.map2
+    (fun (what, pick) digest ->
+      { t_name =
+          Printf.sprintf "fig10 %s L=1024 %s" (if causal then "causal" else "full") what;
+        t_family = Autotune.Attention (Workloads.paper_mha ~causal 1024);
+        t_pick = pick; t_reference = false; t_digest = digest })
+    [ ("first", pick_first); ("coarse", pick_coarse) ]
+    digests
+
+let timing_points =
+  gemm_points Dtype.F16 "f16" 256 ~reference:true
+    [ "fa3f6aecfca9381612bfdf81bf890564"; "c80843ed617f7e64d11ccf16c6b6438f";
+      "21fe6b2df1e1b691ab6527b955b3d56d" ]
+  @ gemm_points Dtype.F16 "f16" 1024 ~reference:false
+      [ "96fd3469de1c0b174f23c06455a99918"; "893e4128402a28b64ee36386d4e8c5e1";
+        "bfa426d7b4a43c8e4808b237a97b4ce8" ]
+  @ gemm_points Dtype.F8E4M3 "f8" 256 ~reference:true
+      [ "202aa0a9f5716ff1b0ed522cc9a23727"; "fdf948c61bd87516acc802a68ce1dbba";
+        "4f5d2ea8288b50cb7ae790b46d605251" ]
+  @ gemm_points Dtype.F8E4M3 "f8" 1024 ~reference:false
+      [ "90ea33cd083c0b5bc8b9bdb5792f478f"; "af8a8007d587fbd22342907d36ecb3a2";
+        "52b36c984b669d402a9c92a9a96d5dfa" ]
+  @ mha_points ~causal:true
+      [ "89a332c51682ce92c7f2ceb1cca57516"; "cae9e0d2f5f24aa1ce571e3644ad116e" ]
+  @ mha_points ~causal:false
+      [ "46e681e6c64cc3ad429cf973b868533e"; "01c08dcde5b2876326ff80ac8b660c1c" ]
+
 (* ----------------------------- tests ----------------------------- *)
 
 let test_demo (name, build, (want_digest, want_err)) () =
@@ -188,6 +293,19 @@ let test_kernel c () =
     (run_sim Config.Reference c);
   Alcotest.(check string) (c.c_name ^ " interpreter") want (run_interp c)
 
+let test_timing p () =
+  let c = p.t_pick p.t_family in
+  let estimate engine =
+    digest_timing
+      (Autotune.estimate ~cfg:{ Config.h100 with Config.engine = Some engine }
+         p.t_family c)
+  in
+  Alcotest.(check string) (p.t_name ^ " decoded engine") p.t_digest
+    (estimate Config.Decoded);
+  if p.t_reference then
+    Alcotest.(check string) (p.t_name ^ " reference engine") p.t_digest
+      (estimate Config.Reference)
+
 let suites =
   [
     ( "graph.golden",
@@ -198,4 +316,8 @@ let suites =
       @ List.map
           (fun c -> Alcotest.test_case (c.c_name ^ " executors") `Quick (test_kernel c))
           cases );
+      ( "timing.golden",
+      List.map
+        (fun p -> Alcotest.test_case p.t_name `Quick (test_timing p))
+        timing_points );
   ]
