@@ -37,9 +37,16 @@ open Tawa_core
 open Tawa_baselines
 open Tawa_gpusim
 module Pool = Tawa_pool.Pool
-module Json = Report.Json
+module Json = Tawa_obs.Json
 
 let cfg = Config.h100
+
+(* The process-wide domain count, resolved once at startup from
+   TAWA_DOMAINS and --domains. Passes pin their own count with
+   [pin_domains]; [None] restores this one. *)
+let process_domains = ref None
+
+let pin_domains d = Pool.set_default_domains (if d = None then !process_domains else d)
 
 (* All table output funnels through [pr] so the sequential-baseline
    timing pass of --json mode can run the figures silently. *)
@@ -120,6 +127,11 @@ let fig8 () =
 
 let tiles = Frameworks.tiles_128x128
 
+(* The Triton baseline: a 3-stage software pipeline ([aref_depth]
+   mirrors the stage count so reports show the pipeline depth). *)
+let triton_options =
+  { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
+
 let batched_timing ~ws ~batch (shape : Workloads.gemm_shape) =
   let kernel = Kernels.batched_gemm ~tiles ~dtype:shape.Workloads.dtype () in
   let compiled =
@@ -129,7 +141,7 @@ let batched_timing ~ws ~batch (shape : Workloads.gemm_shape) =
           { Flow.default_options with aref_depth = 3; mma_depth = 2; num_consumer_wgs = 1; persistent = true;
             use_coarse = false }
         kernel
-    else Flow.compile_sw_pipelined ~stages:3 kernel
+    else Flow.compile ~options:triton_options kernel
   in
   let grid, params = Workloads.batched_gemm_launch ~batch shape ~tiles in
   Launch.estimate ~cfg compiled.Flow.program ~params ~grid
@@ -163,7 +175,7 @@ let grouped_timing ~ws (group : Workloads.group) =
       List.fold_left
         (fun (cycles, flops) (s : Workloads.gemm_shape) ->
           let kernel = Kernels.gemm ~tiles ~dtype:s.Workloads.dtype () in
-          let compiled = Flow.compile_sw_pipelined ~stages:3 kernel in
+          let compiled = Flow.compile ~options:triton_options kernel in
           let grid, params = Workloads.gemm_launch s ~tiles in
           let t =
             Launch.estimate ~cfg compiled.Flow.program ~params ~grid
@@ -365,7 +377,11 @@ let fig12_gemm () =
   (* The five ablation steps are independent measurements. *)
   let steps =
     Pool.run_all
-      [| (fun () -> time (Flow.compile_naive (Kernels.gemm ~tiles:small ())) ~tiles:small);
+      [| (fun () ->
+           time
+             (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Naive }
+                (Kernels.gemm ~tiles:small ()))
+             ~tiles:small);
          (fun () ->
            time
              (Flow.compile
@@ -424,7 +440,10 @@ let fig12_mha () =
      synchronous TMA waits inside the loop. *)
   let steps =
     Pool.run_all
-      [| (fun () -> time (Flow.compile_sync_tma (kernel Dtype.F16)));
+      [| (fun () ->
+           time
+             (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Sync_tma }
+                (kernel Dtype.F16)));
          (fun () ->
            time
              (Flow.compile
@@ -603,7 +622,7 @@ let verify_grid () =
   let _, _, c_ref, cycles_ref, t_ref = run ~domains:1 ~engine:(Some Config.Reference) in
   let _, _, c_seq, cycles_seq, t_seq = run ~domains:1 ~engine:(Some Config.Decoded) in
   let a, b, c_par, cycles_par, t_par = run ~domains ~engine:(Some Config.Decoded) in
-  Pool.set_default_domains None;
+  pin_domains None;
   let bit_identical = Tensor.equal c_seq c_par && cycles_seq = cycles_par in
   let engines_identical = Tensor.equal c_ref c_seq && cycles_ref = cycles_seq in
   let reference = Reference.gemm ~out_dtype:Dtype.F16 a b in
@@ -714,7 +733,7 @@ let run_modes name =
     let was_replicating = Launch.replication_enabled () in
     let pass ?(repeat = 1) ~mode ~domains ~replicate () =
       Launch.set_replication_enabled replicate;
-      Pool.set_default_domains domains;
+      pin_domains domains;
       let best = ref infinity and cycles = ref Float.nan in
       for _ = 1 to repeat do
         let t0 = Unix.gettimeofday () in
@@ -723,7 +742,7 @@ let run_modes name =
         if dt < !best then best := dt;
         cycles := t.Launch.cycles
       done;
-      Pool.set_default_domains None;
+      pin_domains None;
       Launch.set_replication_enabled was_replicating;
       (!best, !cycles)
     in
@@ -991,7 +1010,7 @@ let timed_pass ~engine ~domains ~silent f =
   Flow.clear_cache ();
   Tawa_gpusim.Engine.clear_decode_cache ();
   Tawa_gpusim.Engine.set_forced engine;
-  Pool.set_default_domains domains;
+  pin_domains domains;
   Tawa_gpusim.Engine.reset_instructions ();
   quiet := silent;
   let t0 = Unix.gettimeofday () in
@@ -999,7 +1018,7 @@ let timed_pass ~engine ~domains ~silent f =
   let dt = Unix.gettimeofday () -. t0 in
   quiet := false;
   Tawa_gpusim.Engine.set_forced None;
-  Pool.set_default_domains None;
+  pin_domains None;
   (dt, Tawa_gpusim.Engine.instructions_retired (), data)
 
 let run_figure ~json (name, f) =
@@ -1027,9 +1046,9 @@ let run_figure ~json (name, f) =
 let () =
   (* Registry timers default to CPU time; the bench reports wall clock. *)
   Tawa_obs.Registry.set_clock Unix.gettimeofday;
-  (* TAWA_ENGINE / TAWA_MODE / TAWA_CHECK / TAWA_STATCHECK are read
-     once here; the library no longer consults the environment. *)
-  Config.of_env ();
+  (* The TAWA_* variables are read once here (the library reads no
+     environment); command-line flags override them below. *)
+  Settings.of_env ();
   let args = List.tl (Array.to_list Sys.argv) in
   let json = ref None and names = ref [] and domains = ref None in
   let rec parse = function
@@ -1054,7 +1073,8 @@ let () =
       parse rest
   in
   parse args;
-  Pool.set_default_domains !domains;
+  if !domains <> None then Pool.set_default_domains !domains;
+  process_domains := Some (Pool.default_domains ());
   let selected =
     match List.rev !names with
     | [] -> all_figures

@@ -138,7 +138,7 @@ let options_of ?sw:(sw_stages = None) ?(naive = false) ~d ~p ~coop ~persistent
     num_consumer_wgs = coop; persistent; use_coarse = coarse; strategy }
 
 (** Effective execution mode: explicit --mode wins, then the
-    process-wide default (TAWA_MODE via {!Config.of_env}), then the
+    process-wide default (TAWA_MODE via {!Settings.of_env}), then the
     command's default. *)
 let resolve_mode ~default = function
   | Some m -> m

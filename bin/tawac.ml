@@ -1040,9 +1040,9 @@ let graph_cmd =
 let () =
   (* Timers in --obs output should report wall clock, not CPU time. *)
   Tawa_obs.Registry.set_clock Unix.gettimeofday;
-  (* Env-derived defaults (TAWA_ENGINE/TAWA_MODE/TAWA_CHECK/TAWA_STATCHECK)
-     are applied once here; library code never reads the environment. *)
-  Config.of_env ();
+  (* The TAWA_* variables are read once here (the library reads no
+     environment); command-line flags override them per command. *)
+  Settings.of_env ();
   let doc = "Tawa: automatic warp specialization for (simulated) modern GPUs" in
   exit
     (Cmd.eval'

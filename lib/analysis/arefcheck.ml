@@ -8,11 +8,11 @@
       SMEM capacity) on codegen output.
 
     Checking is controlled by a process-wide switch ({!set_enabled} /
-    {!checking_enabled}), initialized from [TAWA_CHECK=1] in the
-    environment and re-applied by {!Tawa_gpusim.Config.of_env}: it
-    enables checking throughout the compile flow without touching call
-    sites. [assert_clean] converts error diagnostics into a
-    {!Check_failed} exception for CLI/pass use. *)
+    {!checking_enabled}), off by default and set from [TAWA_CHECK] by
+    {!Tawa_gpusim.Settings.of_env}: it enables checking throughout the
+    compile flow without touching call sites. [assert_clean] converts
+    error diagnostics into a {!Check_failed} exception for CLI/pass
+    use. *)
 
 exception Check_failed of string * Diagnostic.t list
 
@@ -31,26 +31,10 @@ let check_kernel (k : Tawa_ir.Kernel.t) : Diagnostic.t list =
 let check_program (p : Tawa_machine.Isa.program) : Diagnostic.t list =
   Check_mbarrier.run p @ Check_smem.run p
 
-(** [TAWA_CHECK] parsing: unset / empty / "0" / "false" / "off" disable,
-    anything else enables. *)
-let enabled_of = function
-  | None -> false
-  | Some v -> (
-    match String.lowercase_ascii (String.trim v) with
-    | "" | "0" | "false" | "off" | "no" -> false
-    | _ -> true)
-
-(* Process-wide checking switch. Initialized from the environment at
-   module load so library-only embedders keep the old behavior;
-   {!Tawa_gpusim.Config.of_env} re-applies it at startup. *)
-let enabled : bool Atomic.t = Atomic.make (enabled_of (Sys.getenv_opt "TAWA_CHECK"))
+let enabled = Atomic.make false
 
 let set_enabled v = Atomic.set enabled v
 let checking_enabled () = Atomic.get enabled
-
-(** Deprecated alias of {!checking_enabled} (the switch is seeded from
-    [TAWA_CHECK], no longer read per call). *)
-let enabled_via_env = checking_enabled
 
 (** Raise {!Check_failed} if [diags] contains errors; return the
     warnings (callers may print them). *)

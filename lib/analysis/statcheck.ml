@@ -11,8 +11,9 @@
     - {!occupancy_report}: the CLI/bench view with CTAs/SM, the
       limiting resource and per-resource headroom;
     - {!check_kernel}: lints plus an infeasible-occupancy diagnostic,
-      wired into [Manager.compile] (warn by default; set
-      [TAWA_STATCHECK=error] to fail the compile, or [off] to skip).
+      wired into [Manager.compile] (warn by default; {!set_mode}
+      [Error] fails the compile, [Off] skips it — the executables set
+      it from [TAWA_STATCHECK]).
 
     The register/SMEM predictions are validated against the decode
     engine's measured high-water marks by the differential suite in
@@ -37,33 +38,21 @@ let () =
 
 type mode = Off | Warn | Error
 
-(** Strict parse: [None] for values outside the recognized vocabulary
-    (lets {!Tawa_gpusim.Config.of_env} warn on typos). *)
-let mode_of_string_opt s =
+(** [None] for values outside the vocabulary, so
+    {!Tawa_gpusim.Settings.of_env} can warn on typos. *)
+let mode_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "" | "0" | "false" | "off" | "no" -> Some Off
   | "error" | "strict" | "fatal" -> Some Error
   | "warn" | "warning" | "1" | "true" | "on" | "yes" -> Some Warn
   | _ -> None
 
-let mode_of_string s =
-  match mode_of_string_opt s with Some m -> m | None -> Warn
-
-(* Process-wide mode. Initialized from [TAWA_STATCHECK] at module load
-   so library-only embedders keep the old behavior;
-   {!Tawa_gpusim.Config.of_env} re-applies it at startup. *)
-let current : mode Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "TAWA_STATCHECK" with
-    | None -> Warn
-    | Some s -> mode_of_string s)
+(* Process-wide mode, set from [TAWA_STATCHECK] by
+   {!Tawa_gpusim.Settings.of_env}. *)
+let current = Atomic.make Warn
 
 let set_mode m = Atomic.set current m
 let current_mode () = Atomic.get current
-
-(** Deprecated alias of {!current_mode} (the mode is seeded from
-    [TAWA_STATCHECK], no longer read per call). *)
-let mode_of_env = current_mode
 
 (* ---------------------------- occupancy --------------------------- *)
 

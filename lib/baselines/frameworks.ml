@@ -124,7 +124,12 @@ let gemm ?(cfg = Config.h100) (fw : t) (shape : Workloads.gemm_shape) :
   | Triton ->
     (* Ampere-style software pipelining on the compute warps. *)
     let kernel = Kernels.gemm ~tiles:tiles_128x128 ~dtype:shape.Workloads.dtype () in
-    let compiled = Flow.compile_sw_pipelined ~stages:3 kernel in
+    let compiled =
+      Flow.compile
+        ~options:
+          { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
+        kernel
+    in
     let grid, params = Workloads.gemm_launch shape ~tiles:tiles_128x128 in
     Some
       (Launch.estimate ~cfg compiled.Flow.program ~params ~grid
@@ -186,7 +191,12 @@ let mha ?(cfg = Config.h100) (fw : t) (shape : Workloads.mha_shape) :
         ~head_dim:shape.Workloads.head_dim ~causal:shape.Workloads.causal
         ~dtype:shape.Workloads.mha_dtype ()
     in
-    let compiled = Flow.compile_sw_pipelined ~stages:2 kernel in
+    let compiled =
+      Flow.compile
+        ~options:
+          { Flow.default_options with strategy = Flow.Sw_pipelined 2; aref_depth = 2 }
+        kernel
+    in
     let grid, params = Workloads.mha_launch shape ~block_m:mha_block_m in
     let rep_pid = [| (if shape.Workloads.causal then max 0 ((shape.Workloads.len / mha_block_m / 2) - 1) else 0); 0; 0 |] in
     Some

@@ -20,13 +20,12 @@
     [at_exit] hook.
 
     Sizing: an explicit [?domains] argument wins; otherwise a
-    process-wide override set with {!set_default_domains} (used by the
-    bench harness's sequential-baseline mode); otherwise the
-    [TAWA_DOMAINS] environment variable; otherwise
-    [Domain.recommended_domain_count ()]. At size 1 (or on singleton /
-    empty inputs) every entry point degrades to a plain sequential
-    loop that never touches the pool, which is the deterministic
-    fallback the tests pin against. When a job requests fewer workers
+    process-wide override set with {!set_default_domains} (the
+    executables set it from [TAWA_DOMAINS]; the bench harness also pins
+    it per pass); otherwise [Domain.recommended_domain_count ()]. At
+    size 1 (or on singleton / empty inputs) every entry point degrades
+    to a plain sequential loop that never touches the pool, which is
+    the deterministic fallback the tests pin against. When a job requests fewer workers
     than the pool holds, every resident helper still participates —
     extra workers only shift which indices each one pulls, and
     index-addressed writes keep the result identical.
@@ -40,15 +39,7 @@
     runs to quiescence (all workers checked in), and the original
     exception is re-raised with its backtrace in the calling domain. *)
 
-let env_domains () =
-  match Sys.getenv_opt "TAWA_DOMAINS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
-    | _ -> None)
-
-(* Process-wide override; [None] defers to the environment. *)
+(* Process-wide override; [None] defers to the recommended count. *)
 let override : int option Atomic.t = Atomic.make None
 
 let set_default_domains n = Atomic.set override n
@@ -56,10 +47,7 @@ let set_default_domains n = Atomic.set override n
 let default_domains () =
   match Atomic.get override with
   | Some n -> max 1 n
-  | None -> (
-    match env_domains () with
-    | Some n -> n
-    | None -> max 1 (Domain.recommended_domain_count ()))
+  | None -> max 1 (Domain.recommended_domain_count ())
 
 (* True inside a pool worker; nested pools degrade to sequential. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)

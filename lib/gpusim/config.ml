@@ -43,94 +43,31 @@ type mode = Functional | Timing
 
 let mode_to_string = function Functional -> "functional" | Timing -> "timing"
 
-let mode_of_string = function
+let mode_of_string s =
+  match String.lowercase_ascii (String.trim s) with
   | "functional" | "func" -> Some Functional
   | "timing" | "time" -> Some Timing
   | _ -> None
 
-(* ------------------- process-wide defaults (env) ------------------ *)
+(* ----------------------- process-wide defaults -------------------- *)
 
-(* The four TAWA_* environment variables used to be consulted all over
-   the library (engine selection, pass manager, compile flow, CLI).
-   They are now read in exactly one place — {!of_env} — and cached in
-   process-wide cells, seeded from the environment at module load so
-   library-only embedders keep the old behavior. *)
+(* Both start unset; {!Settings.of_env} sets them from [TAWA_ENGINE]
+   and [TAWA_MODE]. *)
 
-let engine_default : engine option Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "TAWA_ENGINE" with
-    | None -> None
-    | Some s -> engine_of_string s)
+let engine_default : engine option Atomic.t = Atomic.make None
 
 let set_default_engine e = Atomic.set engine_default e
 
-(** Process-wide default engine for configs with [engine = None]
-    (seeded from [TAWA_ENGINE]; see {!of_env}). *)
+(** Process-wide default engine for configs with [engine = None]. *)
 let default_engine () = Atomic.get engine_default
 
-let mode_default : mode option Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "TAWA_MODE" with
-    | None -> None
-    | Some s -> mode_of_string (String.lowercase_ascii (String.trim s)))
+let mode_default : mode option Atomic.t = Atomic.make None
 
 let set_default_mode m = Atomic.set mode_default m
 
-(** Process-wide default execution mode for commands that let the
-    environment pick (seeded from [TAWA_MODE]; see {!of_env}). *)
+(** Process-wide default execution mode for commands run without an
+    explicit mode. *)
 let default_mode () = Atomic.get mode_default
-
-(** Deprecated alias of {!default_mode} (the default is seeded from
-    [TAWA_MODE], no longer read per call). *)
-let mode_of_env = default_mode
-
-(* One warning per (variable, value) pair per process: of_env may run
-   more than once (tests), and a typo should not spam stderr. *)
-let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
-let warn_lock = Mutex.create ()
-
-let warn_unrecognized var value expected =
-  let key = var ^ "=" ^ value in
-  Mutex.lock warn_lock;
-  let fresh = not (Hashtbl.mem warned key) in
-  if fresh then Hashtbl.add warned key ();
-  Mutex.unlock warn_lock;
-  if fresh then
-    Printf.eprintf "tawa: warning: unrecognized %s=%S (expected %s); ignored\n%!"
-      var value expected
-
-(** Apply the [TAWA_ENGINE] / [TAWA_MODE] / [TAWA_CHECK] /
-    [TAWA_STATCHECK] environment variables to the process-wide
-    defaults, warning once per unrecognized value. Called at startup
-    by tawac and the bench harness; library code never consults the
-    environment directly. *)
-let of_env () =
-  (match Sys.getenv_opt "TAWA_ENGINE" with
-  | None -> Atomic.set engine_default None
-  | Some s -> (
-    match engine_of_string s with
-    | Some _ as e -> Atomic.set engine_default e
-    | None ->
-      warn_unrecognized "TAWA_ENGINE" s "reference|decoded";
-      Atomic.set engine_default None));
-  (match Sys.getenv_opt "TAWA_MODE" with
-  | None -> Atomic.set mode_default None
-  | Some s -> (
-    match mode_of_string (String.lowercase_ascii (String.trim s)) with
-    | Some _ as m -> Atomic.set mode_default m
-    | None ->
-      warn_unrecognized "TAWA_MODE" s "functional|timing";
-      Atomic.set mode_default None));
-  Tawa_analysis.Arefcheck.set_enabled
-    (Tawa_analysis.Arefcheck.enabled_of (Sys.getenv_opt "TAWA_CHECK"));
-  match Sys.getenv_opt "TAWA_STATCHECK" with
-  | None -> Tawa_analysis.Statcheck.set_mode Tawa_analysis.Statcheck.Warn
-  | Some s -> (
-    match Tawa_analysis.Statcheck.mode_of_string_opt s with
-    | Some m -> Tawa_analysis.Statcheck.set_mode m
-    | None ->
-      warn_unrecognized "TAWA_STATCHECK" s "off|warn|error";
-      Tawa_analysis.Statcheck.set_mode Tawa_analysis.Statcheck.Warn)
 
 type t = {
   clock_ghz : float;
@@ -175,9 +112,8 @@ type t = {
   mode : mode;                     (* carry real tile payloads? *)
   collect_trace : bool;            (* record per-unit busy intervals *)
   engine : engine option;
-      (* CTA execution engine; [None] defers to the [TAWA_ENGINE]
-         environment variable, then to the [Decoded] default (see
-         {!Engine.resolve}) *)
+      (* CTA execution engine; [None] defers to {!default_engine},
+         then to the [Decoded] default (see {!Engine.resolve}) *)
 }
 
 let h100 =

@@ -18,12 +18,10 @@
 
     Selection precedence: a forced override (bench harness) beats
     [cfg.engine], which beats the process-wide default
-    ({!Config.default_engine}, seeded from the [TAWA_ENGINE]
-    environment variable — "reference"/"ref"/"tree"/"interp" or
-    "decoded"/"dec"/"closure" — via {!Config.of_env}), which beats the
-    built-in default (Decoded). [collect_trace] no longer forces the
-    reference engine: timeline lanes come from the profiler recorder,
-    which both engines feed.
+    ({!Config.default_engine}, unset until {!Settings.of_env} applies
+    [TAWA_ENGINE]), which beats the built-in default (Decoded).
+    [collect_trace] no longer forces the reference engine: timeline
+    lanes come from the profiler recorder, which both engines feed.
 
     Decoded programs are cached ({!Progcache}) keyed by program
     fingerprint x config digest, so repeated launches of the same

@@ -41,17 +41,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    the accumulated sums add the very same float values in the same
    order, so results are unchanged for any class shape.
 
-   Default on; [TAWA_REPLICATE=0] or {!set_replication_enabled} turn
-   it off (the bench harness pins per-pass settings). *)
-let replication_enabled_env () =
-  match Sys.getenv_opt "TAWA_REPLICATE" with
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "0" | "off" | "false" | "no" -> false
-    | _ -> true)
-  | None -> true
-
-let replication = Atomic.make (replication_enabled_env ())
+   Default on; {!set_replication_enabled} turns it off (the bench
+   harness pins per-pass settings; the executables map
+   [TAWA_REPLICATE=0] to it). *)
+let replication = Atomic.make true
 let set_replication_enabled b = Atomic.set replication b
 let replication_enabled () = Atomic.get replication
 

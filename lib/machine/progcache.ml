@@ -20,8 +20,8 @@
     several domains at once. Lookups and insertions are locked; a missed
     compile runs outside the lock (two domains racing on the same key
     may both compile, last insert wins — both artifacts are equivalent
-    by construction). Set [TAWA_COMPILE_CACHE=0] to disable caching
-    process-wide. *)
+    by construction). {!set_enabled} turns caching off process-wide
+    (the executables map [TAWA_COMPILE_CACHE=0] to it). *)
 
 open Tawa_ir
 
@@ -34,14 +34,9 @@ type 'v t = {
   max_entries : int;
 }
 
-let enabled_env () =
-  match Sys.getenv_opt "TAWA_COMPILE_CACHE" with
-  | Some ("0" | "off" | "false") -> false
-  | _ -> true
-
-(* Process-wide switch, initialized from the environment; the bench
-   harness flips it to measure the uncached sequential baseline. *)
-let enabled = Atomic.make (enabled_env ())
+(* Process-wide switch, on by default; the bench harness flips it to
+   measure the uncached sequential baseline. *)
+let enabled = Atomic.make true
 
 let set_enabled b = Atomic.set enabled b
 let is_enabled () = Atomic.get enabled

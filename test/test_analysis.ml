@@ -1,8 +1,8 @@
 (* Arefcheck: the clean corpus (every kernel the compiler emits must
    pass), the mutation self-test harness (every seeded protocol break
    must be flagged with the right check), handcrafted deadlock/mbarrier/
-   SMEM cases, and the supporting plumbing (printer ids, TAWA_CHECK
-   parsing, pass-manager gating). *)
+   SMEM cases, and the supporting plumbing (printer ids, pass-manager
+   gating). *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -46,8 +46,9 @@ let test_clean_frontend () =
 
 let test_clean_baselines () =
   let gemm = Kernels.gemm ~tiles:small_tiles () in
-  check_flow "sw-pipelined gemm" (Flow.compile_sw_pipelined ~stages:3 gemm);
-  check_flow "naive gemm" (Flow.compile_naive gemm)
+  check_flow "sw-pipelined gemm" (Test_fuzz.sw_compile gemm);
+  check_flow "naive gemm"
+    (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Naive } gemm)
 
 let test_clean_examples () =
   List.iter
@@ -303,15 +304,6 @@ let test_printer_ids () =
   Alcotest.(check bool) "dump_ir ~ids annotates ops" true
     (Astring.String.is_infix ~affix:"id = " (Flow.dump_ir ~ids:true c))
 
-let test_env_parsing () =
-  List.iter
-    (fun (v, want) ->
-      Alcotest.(check bool) (Printf.sprintf "TAWA_CHECK=%s" (Option.value v ~default:"<unset>"))
-        want (Arefcheck.enabled_of v))
-    [ (None, false); (Some "", false); (Some "0", false); (Some "false", false);
-      (Some "off", false); (Some "OFF", false); (Some "no", false); (Some "1", true);
-      (Some "yes", true); (Some "deadlock", true) ]
-
 let test_manager_gating () =
   (* check = true must accept a clean kernel end to end... *)
   let opts = { Tawa_passes.Manager.default_options with check = true } in
@@ -360,7 +352,6 @@ let suites =
         Alcotest.test_case "legal mbarrier patterns accepted" `Quick test_mbarrier_legal_patterns ] );
     ( "analysis.plumbing",
       [ Alcotest.test_case "printer stable ids" `Quick test_printer_ids;
-        Alcotest.test_case "TAWA_CHECK parsing" `Quick test_env_parsing;
         Alcotest.test_case "pass-manager gating and verify-each" `Quick test_manager_gating;
         Alcotest.test_case "diagnostic format" `Quick test_diagnostic_format ] );
   ]

@@ -9,6 +9,7 @@ open Tawa_gpusim
 open Tawa_aref
 
 let small_tiles = { Kernels.block_m = 16; block_n = 16; block_k = 8 }
+let naive = { Flow.default_options with strategy = Flow.Naive }
 
 (* ------------------------------------------------------------------ *)
 (* Flow                                                                *)
@@ -24,14 +25,14 @@ let test_flow_compile_ws () =
     (Astring.String.is_infix ~affix:"wgmma" (Flow.dump_asm c))
 
 let test_flow_compile_sw () =
-  let c = Flow.compile_sw_pipelined ~stages:3 (Kernels.gemm ~tiles:small_tiles ()) in
+  let c = Test_fuzz.sw_compile (Kernels.gemm ~tiles:small_tiles ()) in
   Alcotest.(check bool) "not ws" false c.Flow.warp_specialized;
   Alcotest.(check int) "one stream" 1 (List.length c.Flow.program.Tawa_machine.Isa.streams);
   Alcotest.(check bool) "cp.async asm" true
     (Astring.String.is_infix ~affix:"cp.async" (Flow.dump_asm c))
 
 let test_flow_compile_naive () =
-  let c = Flow.compile_naive (Kernels.gemm ~tiles:small_tiles ()) in
+  let c = Flow.compile ~options:naive (Kernels.gemm ~tiles:small_tiles ()) in
   Alcotest.(check bool) "ld.global asm" true
     (Astring.String.is_infix ~affix:"ld.global" (Flow.dump_asm c))
 
@@ -66,9 +67,14 @@ let test_flow_all_paths_agree () =
     (fun (label, c) ->
       Alcotest.(check bool) (label ^ " agrees") true
         (Tensor.max_abs_diff reference (run c) = 0.0))
-    [ ("sw-pipelined", Flow.compile_sw_pipelined ~stages:2 kernel);
-      ("naive", Flow.compile_naive kernel);
-      ("sync-tma", Flow.compile_sync_tma kernel);
+    [ ( "sw-pipelined",
+        Flow.compile
+          ~options:
+            { Flow.default_options with strategy = Flow.Sw_pipelined 2; aref_depth = 2 }
+          kernel );
+      ("naive", Flow.compile ~options:naive kernel);
+      ( "sync-tma",
+        Flow.compile ~options:{ Flow.default_options with strategy = Flow.Sync_tma } kernel );
       ( "persistent+coop",
         Flow.compile
           ~options:
@@ -121,8 +127,8 @@ let test_cache_miss_on_kernel_change () =
        (Kernels.gemm ~tiles:{ small_tiles with Kernels.block_k = 16 } ()));
   (* A different dtype changes parameter types. *)
   ignore (Flow.compile (Kernels.gemm ~tiles:small_tiles ~dtype:Dtype.F8E4M3 ()));
-  (* A different entry point never collides, even on the same kernel. *)
-  ignore (Flow.compile_naive (Kernels.gemm ~tiles:small_tiles ()));
+  (* A different strategy never collides, even on the same kernel. *)
+  ignore (Flow.compile ~options:naive (Kernels.gemm ~tiles:small_tiles ()));
   let s = Flow.cache_stats () in
   Alcotest.(check int) "all four miss" 4 s.Tawa_machine.Progcache.misses;
   Alcotest.(check int) "no hits" 0 s.Tawa_machine.Progcache.hits

@@ -278,26 +278,23 @@ let test_engine_selection () =
   let forced = Engine.resolve { cfg with Config.engine = Some Config.Decoded } in
   Engine.set_forced None;
   Alcotest.(check bool) "forced override beats cfg" true (forced = Config.Reference);
-  if Sys.getenv_opt "TAWA_ENGINE" = None then
-    Alcotest.(check bool) "default engine is Decoded" true
-      (Engine.resolve { cfg with Config.engine = None } = Config.Decoded)
+  Alcotest.(check bool) "default engine is Decoded" true
+    (Engine.resolve { cfg with Config.engine = None } = Config.Decoded)
 
 let test_decode_cache () =
-  if Progcache.is_enabled () then begin
-    Engine.clear_decode_cache ();
-    let p = mk_program [ stream [ Isa.Nop; Isa.Exit ] ] in
-    let dcfg = { cfg with Config.engine = Some Config.Decoded } in
-    ignore (Engine.prepare ~cfg:dcfg p);
-    ignore (Engine.prepare ~cfg:dcfg p);
-    let s = Engine.decode_cache_stats () in
-    Alcotest.(check int) "one decode" 1 s.Progcache.misses;
-    Alcotest.(check int) "one cache hit" 1 s.Progcache.hits;
-    (* A different cost model must miss (costs are folded at decode). *)
-    ignore
-      (Engine.prepare ~cfg:{ dcfg with Config.scalar_cycles = 99.0 } p);
-    let s = Engine.decode_cache_stats () in
-    Alcotest.(check int) "config change misses" 2 s.Progcache.misses
-  end
+  Engine.clear_decode_cache ();
+  let p = mk_program [ stream [ Isa.Nop; Isa.Exit ] ] in
+  let dcfg = { cfg with Config.engine = Some Config.Decoded } in
+  ignore (Engine.prepare ~cfg:dcfg p);
+  ignore (Engine.prepare ~cfg:dcfg p);
+  let s = Engine.decode_cache_stats () in
+  Alcotest.(check int) "one decode" 1 s.Progcache.misses;
+  Alcotest.(check int) "one cache hit" 1 s.Progcache.hits;
+  (* A different cost model must miss (costs are folded at decode). *)
+  ignore
+    (Engine.prepare ~cfg:{ dcfg with Config.scalar_cycles = 99.0 } p);
+  let s = Engine.decode_cache_stats () in
+  Alcotest.(check int) "config change misses" 2 s.Progcache.misses
 
 (* The fingerprint memo is keyed by physical identity but must always
    answer with the content digest: equal for a structurally equal
@@ -452,7 +449,7 @@ let gemm_timing_diff compiled ~bm ~bn ~kk ~grid_m ~grid_n =
 
 let fuzz_compiles (s : Test_fuzz.spec) =
   [ ("ws d2p2", Test_fuzz.ws_compile ~d:2 ~p:2);
-    ("sw-pipeline", Flow.compile_sw_pipelined ~stages:3);
+    ("sw-pipeline", Test_fuzz.sw_compile);
     ( "persistent",
       Flow.compile
         ~options:

@@ -159,6 +159,13 @@ let ws_compile ~d ~p kernel =
         persistent = false; use_coarse = false }
     kernel
 
+let sw_compile kernel =
+  Tawa_core.Flow.compile
+    ~options:
+      { Tawa_core.Flow.default_options with
+        strategy = Tawa_core.Flow.Sw_pipelined 3; aref_depth = 3 }
+    kernel
+
 let prop_fuzz_ws =
   QCheck.Test.make ~name:"fuzz: random kernels, warp-specialized == interp" ~count:40
     arb_spec
@@ -171,11 +178,14 @@ let prop_fuzz_ws_deep =
 let prop_fuzz_sw_pipeline =
   QCheck.Test.make ~name:"fuzz: random kernels, cp.async pipeline == interp" ~count:25
     arb_spec
-    (fun s -> check_spec s (Tawa_core.Flow.compile_sw_pipelined ~stages:3))
+    (fun s -> check_spec s sw_compile)
 
 let prop_fuzz_naive =
   QCheck.Test.make ~name:"fuzz: random kernels, naive loads == interp" ~count:20 arb_spec
-    (fun s -> check_spec s Tawa_core.Flow.compile_naive)
+    (fun s ->
+      check_spec s
+        (Tawa_core.Flow.compile
+           ~options:{ Tawa_core.Flow.default_options with strategy = Tawa_core.Flow.Naive }))
 
 let prop_fuzz_persistent =
   QCheck.Test.make ~name:"fuzz: random kernels, persistent == interp" ~count:20 arb_spec

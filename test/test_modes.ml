@@ -99,8 +99,7 @@ let test_mode_diff_gemm () =
 
 let test_mode_diff_baseline () =
   let compiled =
-    Flow.compile_sw_pipelined ~stages:3
-      (Tawa_frontend.Kernels.gemm ~tiles:small_tiles ())
+    Test_fuzz.sw_compile (Tawa_frontend.Kernels.gemm ~tiles:small_tiles ())
   in
   check_mode_diff "sw-pipelined gemm" compiled.Flow.program
     ~params:(gemm_buffers ~m:32 ~n:32 ~kk:16)

@@ -491,7 +491,7 @@ let test_profile_diff_gemm () =
     ~params:(gemm_params ~m:32 ~n:32 ~kk:16)
     ~grid:(2, 2, 1);
   check_profile_diff "sw-pipelined gemm"
-    (Flow.compile_sw_pipelined ~stages:3
+    (Test_fuzz.sw_compile
        (Tawa_frontend.Kernels.gemm
           ~tiles:{ Tawa_frontend.Kernels.block_m = 16; block_n = 16; block_k = 8 }
           ()))
