@@ -4,25 +4,27 @@
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- fig8         -- one figure
      dune exec bench/main.exe -- fig8 fig10   -- a subset
-     (figures: fig8 fig9 fig10 fig11 fig12 extra micro)
+     (figures: fig8 fig9 fig10 fig11 fig12 extra)
 
    Flags:
-     --json [PATH]   also write a machine-readable trajectory record
-                     (default PATH: BENCH_PR9.json). Each selected
-                     figure is timed three times: the tree-walking
-                     reference engine on 1 domain, the decoded
-                     (closure-compiled) engine on 1 domain — isolating
-                     the pure engine speedup — and the decoded engine
-                     on the full domain pool (the composed speedup).
-                     Caches are cleared before each pass so every pass
-                     pays one compile+decode per distinct program.
-                     Figures with a representative wave additionally
-                     run the four simulation-mode passes (functional /
-                     timing-only / timing+pool / timing+replication);
-                     see the comment above [run_modes].
+     --json PATH     also write a machine-readable trajectory record to
+                     PATH; a BENCH_PR<n>.json basename stamps "pr": n,
+                     any other name "pr": 0. Each selected figure runs
+                     once, on the decoded engine and 1 domain, with
+                     caches cleared first, so its wall clock and retired
+                     instructions pay one compile+decode per distinct
+                     program. Figures with a representative wave
+                     additionally run the four simulation-mode passes
+                     (functional / timing-only / timing+pool /
+                     timing+replication); see the comment above
+                     [run_modes]. Host wall time of the toolchain is
+                     measured by tawabench, not here.
      --domains N     override the worker-domain count (default:
                      TAWA_DOMAINS or Domain.recommended_domain_count)
      --seq           shorthand for --domains 1
+
+   An unknown figure or flag, a missing --json PATH and a --domains
+   that is not a positive integer exit 2 before anything runs.
 
    Sweep points (frameworks x shapes) run on the domain pool; each
    point's own simulation is single-threaded, so results are identical
@@ -48,10 +50,7 @@ let process_domains = ref None
 
 let pin_domains d = Pool.set_default_domains (if d = None then !process_domains else d)
 
-(* All table output funnels through [pr] so the sequential-baseline
-   timing pass of --json mode can run the figures silently. *)
-let quiet = ref false
-let pr fmt = Printf.ksprintf (fun s -> if not !quiet then (print_string s; flush stdout)) fmt
+let pr fmt = Printf.ksprintf (fun s -> print_string s; flush stdout) fmt
 
 let section title = pr "\n=== %s ===\n" title
 
@@ -534,57 +533,6 @@ let extra () =
   Json.Null
 
 (* ------------------------------------------------------------------ *)
-(* Micro: compile-time cost of each Tawa pass (bechamel)               *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro: compiler pass wall-times (bechamel)";
-  let open Bechamel in
-  let gemm () = Kernels.gemm ~tiles:Frameworks.tiles_128x128 () in
-  let attn () = Kernels.attention ~block_m:128 ~block_n:128 ~head_dim:128 () in
-  let ws k =
-    Tawa_passes.Partition.warp_specialize
-      ~config:{ Tawa_passes.Partition.aref_depth = 2; num_consumer_wgs = 1 }
-      k
-  in
-  let tests =
-    [
-      Test.make ~name:"frontend:build-gemm" (Staged.stage (fun () -> ignore (gemm ())));
-      Test.make ~name:"pass:warp-specialize"
-        (let k = gemm () in
-         Staged.stage (fun () -> ignore (ws k)));
-      Test.make ~name:"pass:fine-pipeline"
-        (let k = ws (gemm ()) in
-         Staged.stage (fun () -> ignore (Tawa_passes.Pipeline_fine.apply ~mma_depth:2 k)));
-      Test.make ~name:"pass:coarse-pipeline"
-        (let k = ws (attn ()) in
-         Staged.stage (fun () -> ignore (Tawa_passes.Pipeline_coarse.apply k)));
-      Test.make ~name:"codegen:lower"
-        (let k = Tawa_passes.Pipeline_fine.apply ~mma_depth:2 (ws (gemm ())) in
-         Staged.stage (fun () -> ignore (Tawa_machine.Codegen.lower k)));
-      Test.make ~name:"e2e:compile-gemm"
-        (Staged.stage (fun () -> ignore (Flow.compile (gemm ()))));
-    ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg_b = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg_b instances (Test.make_grouped ~name:"tawa" tests) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name res ->
-      match Analyze.OLS.estimates res with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> rows := (name, Float.nan) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  List.iter (fun (name, est) -> pr "  %-36s %12.1f ns/run\n" name est) rows;
-  Json.Obj (List.map (fun (name, est) -> (name, Json.Float est)) rows)
-
-(* ------------------------------------------------------------------ *)
 (* Functional-verification grid: parallel vs sequential, vs reference  *)
 (* ------------------------------------------------------------------ *)
 
@@ -835,10 +783,8 @@ let static_occupancy () =
 
 (* --------------------------- autotune ----------------------------- *)
 
-(* The occupancy-pruned search (PR8) on one figure shape per family,
-   reported against the hand-tuned expert schedule. Runs once on the
-   decoded engine (searching under the reference engine three times
-   would measure the search, not the simulator). *)
+(* The occupancy-pruned search on one figure shape per family,
+   reported against the hand-tuned expert schedule. *)
 let autotune_one (name, fam) =
   let r = Autotune.search fam in
   let s = r.Autotune.stats in
@@ -983,65 +929,63 @@ let graph_report () =
 
 let all_figures =
   [ ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("fig11", fig11);
-    ("fig12", fig12); ("extra", extra); ("micro", micro) ]
+    ("fig12", fig12); ("extra", extra) ]
 
-(* In --json mode every figure runs three times: the tree-walking
-   reference engine on 1 domain (silent), the decoded engine on 1
-   domain (silent) — the pure engine speedup — and the decoded engine
-   on the full domain pool for the reported tables. Caches are cleared
-   before each pass (and stay enabled), so every pass pays one
-   compile+decode per distinct program and the wall-clock difference is
-   the simulators'. *)
+(* In --json mode every figure runs once, timed, on the decoded engine
+   and 1 domain; that pass also prints its tables. Caches are cleared
+   first (and stay enabled), so the pass pays one compile+decode per
+   distinct program. *)
 type fig_result = {
   r_name : string;
-  r_ref : float; (* reference engine, 1 domain *)
-  r_dec : float; (* decoded engine, 1 domain *)
-  r_par : float; (* decoded engine, domain pool *)
-  r_ref_instr : int; (* instructions retired by the reference pass *)
-  r_dec_instr : int;
+  r_seconds : float;
+  r_instructions : int; (* instructions retired by the pass *)
   r_cache : Tawa_machine.Progcache.stats;
   r_data : Json.t;
   r_modes : Json.t; (* four simulation-mode passes, Null if no wave *)
 }
 
-let no_stats = { Tawa_machine.Progcache.hits = 0; misses = 0; evictions = 0 }
-
-let timed_pass ~engine ~domains ~silent f =
+let timed_pass f =
   Flow.clear_cache ();
   Tawa_gpusim.Engine.clear_decode_cache ();
-  Tawa_gpusim.Engine.set_forced engine;
-  pin_domains domains;
-  Tawa_gpusim.Engine.reset_instructions ();
-  quiet := silent;
+  Tawa_gpusim.Engine.set_forced (Some Config.Decoded);
+  pin_domains (Some 1);
+  let i0 = Tawa_gpusim.Engine.instructions_retired () in
   let t0 = Unix.gettimeofday () in
   let data = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  quiet := false;
   Tawa_gpusim.Engine.set_forced None;
   pin_domains None;
-  (dt, Tawa_gpusim.Engine.instructions_retired (), data)
+  (dt, Tawa_gpusim.Engine.instructions_retired () - i0, data)
 
-let run_figure ~json (name, f) =
-  if not json then begin
-    ignore (f ());
-    { r_name = name; r_ref = 0.0; r_dec = 0.0; r_par = 0.0; r_ref_instr = 0;
-      r_dec_instr = 0; r_cache = no_stats; r_data = Json.Null;
-      r_modes = Json.Null }
-  end
-  else begin
-    let r_ref, r_ref_instr, _ =
-      timed_pass ~engine:(Some Config.Reference) ~domains:(Some 1) ~silent:true f
-    in
-    let r_dec, r_dec_instr, _ =
-      timed_pass ~engine:(Some Config.Decoded) ~domains:(Some 1) ~silent:true f
-    in
-    let r_par, _, data =
-      timed_pass ~engine:(Some Config.Decoded) ~domains:None ~silent:false f
-    in
-    let r_modes = run_modes name in
-    { r_name = name; r_ref; r_dec; r_par; r_ref_instr; r_dec_instr;
-      r_cache = Flow.cache_stats (); r_data = data; r_modes }
-  end
+let run_figure (name, f) =
+  let r_seconds, r_instructions, r_data = timed_pass f in
+  let r_modes = run_modes name in
+  { r_name = name; r_seconds; r_instructions; r_cache = Flow.cache_stats (); r_data;
+    r_modes }
+
+let cache_json (s : Tawa_machine.Progcache.stats) =
+  Json.Obj
+    [ ("hits", Json.Int s.Tawa_machine.Progcache.hits);
+      ("misses", Json.Int s.Tawa_machine.Progcache.misses);
+      ("evictions", Json.Int s.Tawa_machine.Progcache.evictions) ]
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "main.exe: %s\n\
+         usage: main.exe [FIGURE...] [--json PATH] [--domains N | --seq]\n\
+         figures: %s (default: all)\n"
+        msg
+        (String.concat " " (List.map fst all_figures));
+      exit 2)
+    fmt
+
+(* The "pr" stamp of a trajectory written to [path]: n for a
+   BENCH_PR<n>.json basename, 0 for any other name. *)
+let pr_of_path path =
+  Option.value ~default:0
+    (Scanf.sscanf_opt (Filename.basename path) "BENCH_PR%u.json%!" Fun.id)
 
 let () =
   (* Registry timers default to CPU time; the bench reports wall clock. *)
@@ -1053,23 +997,25 @@ let () =
   let json = ref None and names = ref [] and domains = ref None in
   let rec parse = function
     | [] -> ()
-    | "--json" :: rest -> (
-      json := Some "BENCH_PR9.json";
-      match rest with
-      | path :: rest' when String.length path > 0 && path.[0] <> '-' && not (List.mem_assoc path all_figures) ->
-        json := Some path;
-        parse rest'
-      | _ -> parse rest)
-    | "--domains" :: n :: rest ->
-      domains := int_of_string_opt n;
+    | "--json" :: path :: rest
+      when path <> "" && path.[0] <> '-' && not (List.mem_assoc path all_figures) ->
+      json := Some path;
       parse rest
+    | "--json" :: _ -> usage_error "--json needs a PATH"
+    | "--domains" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some d when d > 0 ->
+        domains := Some d;
+        parse rest
+      | _ -> usage_error "--domains %S is not a positive integer" n)
+    | [ "--domains" ] -> usage_error "--domains needs a count"
     | "--seq" :: rest ->
       domains := Some 1;
       parse rest
     | "all" :: rest -> parse rest
     | name :: rest ->
       if List.mem_assoc name all_figures then names := name :: !names
-      else Printf.eprintf "unknown figure or flag %S (ignored)\n" name;
+      else usage_error "unknown figure or flag %S" name;
       parse rest
   in
   parse args;
@@ -1081,36 +1027,30 @@ let () =
     | ns -> List.map (fun n -> (n, List.assoc n all_figures)) ns
   in
   let t0 = Unix.gettimeofday () in
-  let results = List.map (run_figure ~json:(!json <> None)) selected in
   match !json with
-  | None -> pr "\n[bench completed in %.1fs]\n" (Unix.gettimeofday () -. t0)
+  | None ->
+    List.iter (fun (_, f) -> ignore (f ())) selected;
+    pr "\n[bench completed in %.1fs]\n" (Unix.gettimeofday () -. t0)
   | Some path ->
+    let results = List.map run_figure selected in
     let verify = verify_grid () in
     let tune = autotune_report () in
     let graph = graph_report () in
     let cache_stats =
       List.fold_left
-        (fun acc r ->
-          { Tawa_machine.Progcache.hits = acc.Tawa_machine.Progcache.hits + r.r_cache.Tawa_machine.Progcache.hits;
-            misses = acc.Tawa_machine.Progcache.misses + r.r_cache.Tawa_machine.Progcache.misses;
-            evictions =
-              acc.Tawa_machine.Progcache.evictions + r.r_cache.Tawa_machine.Progcache.evictions })
-        no_stats results
+        (fun (acc : Tawa_machine.Progcache.stats) r ->
+          { Tawa_machine.Progcache.hits = acc.hits + r.r_cache.hits;
+            misses = acc.misses + r.r_cache.misses;
+            evictions = acc.evictions + r.r_cache.evictions })
+        { Tawa_machine.Progcache.hits = 0; misses = 0; evictions = 0 }
+        results
     in
-    let ref_total = List.fold_left (fun acc r -> acc +. r.r_ref) 0.0 results in
-    let dec_total = List.fold_left (fun acc r -> acc +. r.r_dec) 0.0 results in
-    let par_total = List.fold_left (fun acc r -> acc +. r.r_par) 0.0 results in
+    let total = List.fold_left (fun acc r -> acc +. r.r_seconds) 0.0 results in
     let ips i dt = if dt > 0.0 then Float.of_int i /. dt else 0.0 in
     let doc =
       Json.Obj
         [ ("schema", Json.Str "tawa-bench-trajectory/v1");
-          ("pr", Json.Int 9);
-          ( "engine",
-            Json.Str
-              "decode-once closure-compiled CTA engine + event-driven scheduler, with \
-               timing-only stream optimization, vectorized tile ops, and \
-               symmetry-replicated CTA waves (over PR1's domain pool and compile \
-               cache)" );
+          ("pr", Json.Int (pr_of_path path));
           ( "host",
             Json.Obj
               [ ("cores", Json.Int (Domain.recommended_domain_count ()));
@@ -1121,22 +1061,10 @@ let () =
                  (fun r ->
                    Json.Obj
                      [ ("name", Json.Str r.r_name);
-                       ("reference_seconds", Json.Float r.r_ref);
-                       ("decoded_seconds", Json.Float r.r_dec);
-                       ("decoded_parallel_seconds", Json.Float r.r_par);
-                       ( "engine_speedup",
-                         Json.Float (if r.r_dec > 0.0 then r.r_ref /. r.r_dec else 1.0) );
-                       ( "composed_speedup",
-                         Json.Float (if r.r_par > 0.0 then r.r_ref /. r.r_par else 1.0) );
-                       ( "reference_instructions_per_sec",
-                         Json.Float (ips r.r_ref_instr r.r_ref) );
+                       ("decoded_seconds", Json.Float r.r_seconds);
                        ( "decoded_instructions_per_sec",
-                         Json.Float (ips r.r_dec_instr r.r_dec) );
-                       ( "compile_cache",
-                         Json.Obj
-                           [ ("hits", Json.Int r.r_cache.Tawa_machine.Progcache.hits);
-                             ("misses", Json.Int r.r_cache.Tawa_machine.Progcache.misses);
-                             ("evictions", Json.Int r.r_cache.Tawa_machine.Progcache.evictions) ] );
+                         Json.Float (ips r.r_instructions r.r_seconds) );
+                       ("compile_cache", cache_json r.r_cache);
                        ("modes", r.r_modes);
                        ("data", r.r_data) ])
                  results) );
@@ -1144,22 +1072,10 @@ let () =
           ("static_occupancy", static_occupancy ());
           ("autotune", tune);
           ("graph", graph);
-          ( "compile_cache",
-            Json.Obj
-              [ ("hits", Json.Int cache_stats.Tawa_machine.Progcache.hits);
-                ("misses", Json.Int cache_stats.Tawa_machine.Progcache.misses);
-                ("evictions", Json.Int cache_stats.Tawa_machine.Progcache.evictions) ] );
+          ("compile_cache", cache_json cache_stats);
           (* Registry snapshot: progcache/pool gauges, pass timers. *)
           ("telemetry", Tawa_obs.Registry.to_json ());
-          ( "totals",
-            Json.Obj
-              [ ("reference_seconds", Json.Float ref_total);
-                ("decoded_seconds", Json.Float dec_total);
-                ("decoded_parallel_seconds", Json.Float par_total);
-                ( "engine_speedup",
-                  Json.Float (if dec_total > 0.0 then ref_total /. dec_total else 1.0) );
-                ( "composed_speedup",
-                  Json.Float (if par_total > 0.0 then ref_total /. par_total else 1.0) ) ] ) ]
+          ("totals", Json.Obj [ ("decoded_seconds", Json.Float total) ]) ]
     in
     Json.to_file path doc;
     pr "\n[bench completed in %.1fs; trajectory written to %s]\n"

@@ -228,11 +228,10 @@ type prepared =
   | Pref of Config.t * Isa.program
   | Pdec of Decode.t
 
-(* Retired-instruction counter across all engines and domains, for the
-   bench harness's instructions/sec figure. *)
+(* Retired-instruction counter across all engines and domains. It only
+   grows: callers measure a run as the difference of two readings. *)
 let retired = Atomic.make 0
 let instructions_retired () = Atomic.get retired
-let reset_instructions () = Atomic.set retired 0
 
 (** Resolve the engine for [cfg] and pre-translate [program] if the
     decoded engine is selected. One [prepare] per launch amortizes the
