@@ -12,15 +12,106 @@
       body block's parameters) and a {e tail} node (binds the op's
       results), with edges modelling all executions: loop back-edges,
       zero-trip bypass, both branches, and every warp-group partition.
+      Values get dense indices in order of first appearance, and every
+      node carries its def/use masks over them.
 
     On top of the CFG the classic analyses are provided: {!Liveness}
-    (backward, sets of live value ids), {!Reaching} (forward, sets of
-    defining node ids — SSA form means there are no kills), and
-    {!use_def} chains derived from the definition table. *)
+    (backward, sets of live value indices), {!Reaching} (forward, sets
+    of defining node ids — SSA form means there are no kills), and
+    {!use_def} chains derived from the definition table. All facts are
+    {!Bitset}s, so a transfer is a few word operations. *)
 
 open Tawa_ir
 
-module Int_set = Set.Make (Int)
+(* -------------------------- dense bitsets ------------------------- *)
+
+(** Finite sets of small non-negative ints (dense value indices or node
+    ids), one bit each, packed into [int] words. A set is never mutated
+    once returned, so results may share arrays with their arguments; a
+    shorter array denotes the same set zero-extended, which makes
+    [bottom = [||]] the empty set at every width. This is the solver's
+    lattice: bottom = empty, join = union. *)
+module Bitset = struct
+  type t = int array
+
+  let w = Sys.int_size
+  let bottom : t = [||]
+
+  let mem (s : t) i =
+    let k = i / w in
+    k < Array.length s && (s.(k) lsr (i mod w)) land 1 = 1
+
+  let of_list (l : int list) : t =
+    if List.exists (fun i -> i < 0) l then invalid_arg "Bitset.of_list: negative";
+    let s = Array.make (List.fold_left (fun m i -> max m ((i / w) + 1)) 0 l) 0 in
+    List.iter (fun i -> s.(i / w) <- s.(i / w) lor (1 lsl (i mod w))) l;
+    s
+
+  let add i (s : t) : t =
+    if mem s i then s
+    else begin
+      let k = i / w in
+      let r = Array.make (max (Array.length s) (k + 1)) 0 in
+      Array.blit s 0 r 0 (Array.length s);
+      r.(k) <- r.(k) lor (1 lsl (i mod w));
+      r
+    end
+
+  (* [a] is a subset of [b]. *)
+  let subset (a : t) (b : t) =
+    let lb = Array.length b in
+    let rec go k =
+      k = Array.length a
+      || (a.(k) land lnot (if k < lb then b.(k) else 0) = 0 && go (k + 1))
+    in
+    go 0
+
+  let join (a : t) (b : t) : t =
+    if subset a b then b
+    else if subset b a then a
+    else begin
+      let la = Array.length a and lb = Array.length b in
+      let r = Array.make (max la lb) 0 in
+      for k = 0 to Array.length r - 1 do
+        r.(k) <- (if k < la then a.(k) else 0) lor if k < lb then b.(k) else 0
+      done;
+      r
+    end
+
+  let equal a b = subset a b && subset b a
+
+  (** [gen ∪ (x \ kill)]: the transfer shape of both analyses. *)
+  let gen_kill ~(gen : t) ~(kill : t) (x : t) : t =
+    let lg = Array.length gen and lk = Array.length kill and lx = Array.length x in
+    let r = Array.make (max lg lx) 0 in
+    for k = 0 to Array.length r - 1 do
+      let xk = if k < lx then x.(k) else 0 in
+      let kk = if k < lk then kill.(k) else 0 in
+      r.(k) <- (if k < lg then gen.(k) else 0) lor (xk land lnot kk)
+    done;
+    r
+
+  (** Fold over the members in increasing order. *)
+  let fold f (s : t) acc =
+    let acc = ref acc in
+    for k = 0 to Array.length s - 1 do
+      let word = ref s.(k) and i = ref (k * w) in
+      while !word <> 0 do
+        if !word land 0xff = 0 then begin
+          word := !word lsr 8;
+          i := !i + 8
+        end
+        else begin
+          if !word land 1 <> 0 then acc := f !i !acc;
+          word := !word lsr 1;
+          incr i
+        end
+      done
+    done;
+    !acc
+
+  let elements s = List.rev (fold List.cons s [])
+end
 
 (* ------------------------- abstract solver ------------------------ *)
 
@@ -52,11 +143,21 @@ module Solver (L : LATTICE) = struct
     output : L.t array;  (** fact at node exit (w.r.t. [direction]) *)
   }
 
+  let join_over (output : L.t array) (into : int array) =
+    let acc = ref L.bottom in
+    for j = 0 to Array.length into - 1 do
+      acc := L.join !acc output.(into.(j))
+    done;
+    !acc
+
   (** Iterate [output n = transfer n (join of neighbour outputs)] to a
       fixpoint. For [Forward] the joined neighbours are predecessors;
       for [Backward], successors. Monotone transfer functions over a
       finite-height lattice terminate; the worklist revisits a node
-      only when one of its inputs changed. *)
+      only when one of its inputs changed. The worklist is a FIFO ring
+      of [n] slots (a node is queued at most once), seeded in node
+      order for [Forward] and in reverse for [Backward]; the order
+      changes the work done, never the fixpoint. *)
   let solve ~(direction : direction) ~(graph : graph)
       ~(transfer : int -> L.t -> L.t) () : result =
     let n = Array.length graph.succs in
@@ -68,26 +169,27 @@ module Solver (L : LATTICE) = struct
     in
     let input = Array.make n L.bottom in
     let output = Array.make n L.bottom in
-    let in_wl = Array.make n true in
-    let wl = Queue.create () in
-    for i = 0 to n - 1 do
-      Queue.add i wl
-    done;
-    while not (Queue.is_empty wl) do
-      let u = Queue.pop wl in
-      in_wl.(u) <- false;
-      let inp =
-        Array.fold_left (fun acc p -> L.join acc output.(p)) L.bottom into.(u)
-      in
+    let ring =
+      Array.init n (fun i -> match direction with Forward -> i | Backward -> n - 1 - i)
+    in
+    let queued = Array.make n true in
+    let head = ref 0 and len = ref n in
+    while !len > 0 do
+      let u = ring.(!head) in
+      head := if !head + 1 = n then 0 else !head + 1;
+      decr len;
+      queued.(u) <- false;
+      let inp = join_over output into.(u) in
       input.(u) <- inp;
       let out = transfer u inp in
       if not (L.equal out output.(u)) then begin
         output.(u) <- out;
         Array.iter
           (fun v ->
-            if not in_wl.(v) then begin
-              in_wl.(v) <- true;
-              Queue.add v wl
+            if not queued.(v) then begin
+              queued.(v) <- true;
+              ring.((!head + !len) mod n) <- v;
+              incr len
             end)
           out_of.(u)
       end
@@ -110,9 +212,7 @@ module Solver (L : LATTICE) = struct
     while !changed do
       changed := false;
       for u = 0 to n - 1 do
-        let inp =
-          Array.fold_left (fun acc p -> L.join acc output.(p)) L.bottom into.(u)
-        in
+        let inp = join_over output into.(u) in
         input.(u) <- inp;
         let out = transfer u inp in
         if not (L.equal out output.(u)) then begin
@@ -124,17 +224,7 @@ module Solver (L : LATTICE) = struct
     { input; output }
 end
 
-(** The workhorse lattice: finite sets of ints (value ids or node
-    ids), bottom = empty, join = union. *)
-module Set_lattice = struct
-  type t = Int_set.t
-
-  let bottom = Int_set.empty
-  let join = Int_set.union
-  let equal = Int_set.equal
-end
-
-module Set_solver = Solver (Set_lattice)
+module Set_solver = Solver (Bitset)
 
 (* ----------------------------- IR CFG ----------------------------- *)
 
@@ -150,6 +240,8 @@ module Cfg = struct
     kind : node_kind;
     defs : Value.t list;
     uses : Value.t list;
+    def_set : Bitset.t;  (** dense indices of [defs] *)
+    use_set : Bitset.t;  (** dense indices of [uses] *)
     partition : int;  (** warp-group partition index; -1 = outside *)
     mutable succs : int list;  (** reverse-accumulated during build *)
   }
@@ -158,7 +250,9 @@ module Cfg = struct
     kernel : Kernel.t;
     nodes : node array;
     graph : graph;
-    def_node : int Value.Tbl.t;  (** value -> node that defines it *)
+    values : Value.t array;  (** dense index -> value *)
+    index : int Value.Tbl.t;  (** value -> dense index *)
+    def_of : int array;  (** dense index -> defining node, -1 if none *)
   }
 
   let node_op n =
@@ -170,8 +264,27 @@ module Cfg = struct
   let build (k : Kernel.t) : t =
     let nodes = ref [] in
     let count = ref 0 in
+    let index = Value.Tbl.create 64 in
+    let values = ref [] in
+    let nvalues = ref 0 in
+    let mask vs =
+      Bitset.of_list
+        (List.map
+           (fun v ->
+             match Value.Tbl.find_opt index v with
+             | Some i -> i
+             | None ->
+               let i = !nvalues in
+               Value.Tbl.add index v i;
+               values := v :: !values;
+               incr nvalues;
+               i)
+           vs)
+    in
     let mk_node ?(defs = []) ?(uses = []) ~partition kind =
-      let n = { id = !count; kind; defs; uses; partition; succs = [] } in
+      let def_set = mask defs in
+      let use_set = mask uses in
+      let n = { id = !count; kind; defs; uses; def_set; use_set; partition; succs = [] } in
       incr count;
       nodes := n :: !nodes;
       n
@@ -238,20 +351,25 @@ module Cfg = struct
     in
     let entry = mk_node ~defs:k.Kernel.params ~partition:(-1) Entry in
     let _exit = build_block ~partition:(-1) entry (Kernel.entry k) in
-    let arr = Array.of_list (List.rev !nodes) in
-    Array.sort (fun a b -> Int.compare a.id b.id) arr;
+    (* Ids were handed out in order, so the reversed list is sorted. *)
+    let nodes = Array.of_list (List.rev !nodes) in
     let graph =
-      { succs = Array.map (fun n -> Array.of_list (List.rev n.succs)) arr }
+      { succs = Array.map (fun n -> Array.of_list (List.rev n.succs)) nodes }
     in
-    let def_node = Value.Tbl.create 64 in
+    let def_of = Array.make !nvalues (-1) in
     Array.iter
-      (fun n -> List.iter (fun v -> Value.Tbl.replace def_node v n.id) n.defs)
-      arr;
-    { kernel = k; nodes = arr; graph; def_node }
+      (fun n -> List.iter (fun v -> def_of.(Value.Tbl.find index v) <- n.id) n.defs)
+      nodes;
+    { kernel = k; nodes; graph; values = Array.of_list (List.rev !values); index; def_of }
 
   let num_nodes t = Array.length t.nodes
   let node t i = t.nodes.(i)
-  let defining_node t v = Value.Tbl.find_opt t.def_node v
+  let value t i = t.values.(i)
+
+  let defining_node t v =
+    match Value.Tbl.find_opt t.index v with
+    | Some i when t.def_of.(i) >= 0 -> Some t.def_of.(i)
+    | _ -> None
 end
 
 (* ---------------------------- liveness ---------------------------- *)
@@ -259,16 +377,13 @@ end
 module Liveness = struct
   type t = {
     cfg : Cfg.t;
-    live_in : Int_set.t array;  (** value ids live before each node *)
-    live_out : Int_set.t array;  (** value ids live after each node *)
+    live_in : Bitset.t array;  (** dense value indices live before each node *)
+    live_out : Bitset.t array;  (** dense value indices live after each node *)
   }
 
-  let transfer (cfg : Cfg.t) u (out : Int_set.t) =
+  let transfer (cfg : Cfg.t) u (out : Bitset.t) =
     let n = cfg.Cfg.nodes.(u) in
-    let minus_defs =
-      List.fold_left (fun s v -> Int_set.remove (Value.id v) s) out n.Cfg.defs
-    in
-    List.fold_left (fun s v -> Int_set.add (Value.id v) s) minus_defs n.Cfg.uses
+    Bitset.gen_kill ~gen:n.Cfg.use_set ~kill:n.Cfg.def_set out
 
   let run (cfg : Cfg.t) : t =
     let r =
@@ -288,14 +403,14 @@ end
 module Reaching = struct
   type t = {
     cfg : Cfg.t;
-    reach_in : Int_set.t array;  (** node ids whose defs reach entry *)
-    reach_out : Int_set.t array;
+    reach_in : Bitset.t array;  (** node ids whose defs reach entry *)
+    reach_out : Bitset.t array;
   }
 
   (* SSA: every value has one def, so there are no kills; a node's
      contribution is itself when it defines anything. *)
-  let transfer (cfg : Cfg.t) u (inp : Int_set.t) =
-    if cfg.Cfg.nodes.(u).Cfg.defs = [] then inp else Int_set.add u inp
+  let transfer (cfg : Cfg.t) u (inp : Bitset.t) =
+    if cfg.Cfg.nodes.(u).Cfg.defs = [] then inp else Bitset.add u inp
 
   let run (cfg : Cfg.t) : t =
     let r =
@@ -337,4 +452,4 @@ let unreachable_uses (cfg : Cfg.t) (r : Reaching.t) : use list =
            (* A def in the same node (head binding its own params) is
               visible to the node's uses evaluated at the head. *)
            d <> u.use_node
-           && not (Int_set.mem d (Reaching.reach_in r u.use_node)))
+           && not (Bitset.mem (Reaching.reach_in r u.use_node) d))

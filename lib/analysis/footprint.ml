@@ -155,33 +155,24 @@ let rec walk_op (graph : Graph.t) (a : acc) (op : Op.op) =
 
 (* Max over CFG nodes of the live-in tile bytes, per partition; the
    informational "how much must be simultaneously alive" figure, as
-   opposed to the resident model above (codegen never frees). *)
-let max_live (k : Kernel.t) : (int, int) Hashtbl.t =
+   opposed to the resident model above (codegen never frees). Slot
+   [p + 1] holds partition [p] (slot 0: outside any warp group). *)
+let max_live (k : Kernel.t) : int array =
   let cfg = Dataflow.Cfg.build k in
   let live = Dataflow.Liveness.run cfg in
-  let by_id = Hashtbl.create 64 in
-  Array.iter
-    (fun n ->
-      List.iter
-        (fun v -> if is_tile v then Hashtbl.replace by_id (Value.id v) v)
-        (n.Dataflow.Cfg.defs @ n.Dataflow.Cfg.uses))
-    cfg.Dataflow.Cfg.nodes;
-  let best = Hashtbl.create 4 in
+  let bytes =
+    Array.map (fun v -> if is_tile v then bytes_of v else 0) cfg.Dataflow.Cfg.values
+  in
+  let nodes = cfg.Dataflow.Cfg.nodes in
+  let top = Array.fold_left (fun m n -> max m n.Dataflow.Cfg.partition) (-1) nodes in
+  let best = Array.make (top + 2) 0 in
+  let add i acc = acc + bytes.(i) in
   Array.iteri
     (fun i n ->
-      let bytes =
-        Dataflow.Int_set.fold
-          (fun id acc ->
-            match Hashtbl.find_opt by_id id with
-            | Some v -> acc + bytes_of v
-            | None -> acc)
-          (Dataflow.Liveness.live_in live i)
-          0
-      in
-      let p = n.Dataflow.Cfg.partition in
-      let cur = Option.value (Hashtbl.find_opt best p) ~default:0 in
-      if bytes > cur then Hashtbl.replace best p bytes)
-    cfg.Dataflow.Cfg.nodes;
+      let b = Dataflow.Bitset.fold add (Dataflow.Liveness.live_in live i) 0 in
+      let p = n.Dataflow.Cfg.partition + 1 in
+      if b > best.(p) then best.(p) <- b)
+    nodes;
   best
 
 (* --------------------------- SMEM model --------------------------- *)
@@ -291,12 +282,10 @@ let compute_structural (k : Kernel.t) : t =
           let r = List.nth wgop.Op.regions i in
           List.iter (walk_op graph a) (Op.entry_block r).Op.ops
         | None -> ());
-        let live_top =
-          Option.value (Hashtbl.find_opt live_by_part (-1)) ~default:0
-        in
+        let live_top = live_by_part.(0) in
         let live_part =
-          if wg = None then 0
-          else Option.value (Hashtbl.find_opt live_by_part i) ~default:0
+          if wg = None || i + 1 >= Array.length live_by_part then 0
+          else live_by_part.(i + 1)
         in
         {
           index = i;

@@ -13,19 +13,25 @@ exception Ill_formed of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
+(* The arguments are evaluated whether or not [cond] holds: a message
+   that needs formatting work (e.g. [Types.to_string]) is written as
+   [if not cond then fail ...] so passing ops never pay for it. *)
 let check cond fmt =
   if cond then Format.ikfprintf ignore Format.str_formatter fmt
   else Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
-type scope = { mutable defined : Value.Set.t }
+(* The values in scope, and the same values newest first so a region
+   can drop what it defined when it ends. *)
+type scope = { defined : unit Value.Tbl.t; mutable order : Value.t list }
 
 let define scope v =
-  if Value.Set.mem v scope.defined then
+  if Value.Tbl.mem scope.defined v then
     fail "value %s defined twice" (Value.name v);
-  scope.defined <- Value.Set.add v scope.defined
+  Value.Tbl.add scope.defined v ();
+  scope.order <- v :: scope.order
 
 let require_defined scope op v =
-  if not (Value.Set.mem v scope.defined) then
+  if not (Value.Tbl.mem scope.defined v) then
     fail "op %s uses undefined value %s" (Op.opcode_name op.Op.opcode) (Value.name v)
 
 let scalar_ty op v =
@@ -65,11 +71,11 @@ let check_op_types (op : Op.op) =
   | (Op.Const_int _ | Op.Const_float _), _ -> fail "constant takes no operands"
   | Op.Binop _, [ x; y ] ->
     let r = result1 op in
-    check
-      (Types.equal (Value.ty x) (Value.ty y) && Types.equal (Value.ty x) (Value.ty r))
-      "binop operand/result types must agree (%s, %s -> %s)"
-      (Types.to_string (Value.ty x)) (Types.to_string (Value.ty y))
-      (Types.to_string (Value.ty r))
+    if not (Types.equal (Value.ty x) (Value.ty y) && Types.equal (Value.ty x) (Value.ty r))
+    then
+      fail "binop operand/result types must agree (%s, %s -> %s)"
+        (Types.to_string (Value.ty x)) (Types.to_string (Value.ty y))
+        (Types.to_string (Value.ty r))
   | Op.Binop _, _ -> fail "binop takes two operands"
   | Op.Unop _, [ x ] ->
     let r = result1 op in
@@ -293,8 +299,9 @@ let check_op_types (op : Op.op) =
             check (s1 = s2 && Dtype.equal d1 d2) "aref_put payload type mismatch"
           | _, _ ->
             let tv = Value.ty v and tp = ty in
-            check (Types.equal tv tp) "aref_put payload type mismatch (%s vs %s)"
-              (Types.to_string tv) (Types.to_string tp))
+            if not (Types.equal tv tp) then
+              fail "aref_put payload type mismatch (%s vs %s)" (Types.to_string tv)
+                (Types.to_string tp))
         payload tys
     | ty -> fail "aref_put first operand must be aref, got %s" (Types.to_string ty))
   | Op.Aref_put, _ -> fail "aref_put takes aref, slot, payload"
@@ -315,8 +322,9 @@ let check_op_types (op : Op.op) =
             check (s1 = s2 && Dtype.equal d1 d2) "aref_get result type mismatch"
           | _, _ ->
             let tr = Value.ty r and tp = ty in
-            check (Types.equal tr tp) "aref_get result type mismatch (%s vs %s)"
-              (Types.to_string tr) (Types.to_string tp))
+            if not (Types.equal tr tp) then
+              fail "aref_get result type mismatch (%s vs %s)" (Types.to_string tr)
+                (Types.to_string tp))
         op.results tys
     | ty -> fail "aref_get first operand must be aref, got %s" (Types.to_string ty))
   | Op.Aref_get, _ -> fail "aref_get takes aref and slot"
@@ -346,15 +354,24 @@ let rec verify_block scope (b : Op.block) =
       check_op_types op;
       List.iter
         (fun (r : Op.region) ->
-          let saved = scope.defined in
+          let saved = scope.order in
           List.iter (verify_block scope) r.blocks;
-          scope.defined <- saved)
+          let rec drop l =
+            if l != saved then
+              match l with
+              | v :: rest ->
+                Value.Tbl.remove scope.defined v;
+                drop rest
+              | [] -> ()
+          in
+          drop scope.order;
+          scope.order <- saved)
         op.regions;
       List.iter (define scope) op.results)
     b.ops
 
 let verify_kernel (k : Kernel.t) =
-  let scope = { defined = Value.Set.empty } in
+  let scope = { defined = Value.Tbl.create 64; order = [] } in
   List.iter (define scope) k.params;
   List.iter (verify_block scope) k.body.Op.blocks
 

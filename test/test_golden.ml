@@ -14,13 +14,15 @@
    interpreter, and a causal attention kernel (iota/cmp/select
    epilogue) on the same three executors.
 
-   [timing.golden] does the same for paper-scale timing estimates (see
-   the section below). *)
+   [timing.golden] does the same for paper-scale timing estimates, and
+   [statcheck.golden] for the static analysis of every compiled
+   candidate (see the sections below). *)
 
 open Tawa_tensor
 open Tawa_ir
 open Tawa_frontend
 open Tawa_gpusim
+open Tawa_analysis
 module Flow = Tawa_core.Flow
 module Autotune = Tawa_core.Autotune
 module Workloads = Tawa_core.Workloads
@@ -278,6 +280,102 @@ let timing_points =
   @ mha_points ~causal:false
       [ "46e681e6c64cc3ad429cf973b868533e"; "01c08dcde5b2876326ff80ac8b660c1c" ]
 
+(* ------------------------ statcheck digests ---------------------- *)
+
+(* Statcheck's whole output on the kernels the compile benchmark feeds
+   it: every [Autotune.space] candidate of the four families, and the
+   four example [.tw] kernels under each lowering strategy. Each family
+   hashes, per kernel, [Diagnostic.to_string] of every
+   [Statcheck.check_kernel] finding and every [occupancy_report] field
+   (per-stream bytes, max-live and regs/thread, SMEM items, verdict,
+   CTAs/SM, headroom). Op ids come from a process-wide counter, so an
+   SMEM item names its op by pre-order position instead; this corpus's
+   findings carry no op or value. The expected values were recorded
+   before liveness and reaching definitions moved to bitsets and the
+   uninit-read lint gained its scope walk. *)
+
+let digest_statcheck (ks : Kernel.t list) =
+  let b = Buffer.create 65536 in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun (k : Kernel.t) ->
+      let pos = Hashtbl.create 64 in
+      ignore
+        (Op.fold_region
+           (fun i (o : Op.op) -> Hashtbl.replace pos o.Op.oid i; i + 1)
+           0 k.Kernel.body);
+      List.iter
+        (fun d -> add "%s\n" (Diagnostic.to_string d))
+        (Statcheck.check_kernel k);
+      let r = Statcheck.occupancy_report k in
+      add "%s smem=%d regs=%d ctas=%d %s %d %d\n" r.Statcheck.kernel_name
+        r.Statcheck.smem_bytes r.Statcheck.total_regs r.Statcheck.ctas_per_sm
+        r.Statcheck.limiting r.Statcheck.smem_headroom r.Statcheck.reg_headroom;
+      List.iter
+        (fun (pu : Statcheck.part_usage) ->
+          add "part %d %s coop=%d tensor=%d live=%d regs=%d\n" pu.Statcheck.pu_index
+            (Op.role_to_string pu.Statcheck.pu_role) pu.Statcheck.pu_coop
+            pu.Statcheck.pu_tensor_bytes pu.Statcheck.pu_max_live_bytes
+            pu.Statcheck.pu_regs_per_thread)
+        r.Statcheck.parts;
+      List.iter
+        (fun (it : Footprint.smem_item) ->
+          add "smem %s @%d %d x%d\n" it.Footprint.kind
+            (Hashtbl.find pos it.Footprint.op_id)
+            it.Footprint.item_bytes it.Footprint.copies)
+        r.Statcheck.smem_items;
+      match r.Statcheck.verdict with
+      | Tawa_machine.Resources.Infeasible why -> add "infeasible %s\n" why
+      | Tawa_machine.Resources.Feasible u ->
+        add "feasible smem=%d consumer=%d producer=%d total=%d wgs=%d\n"
+          u.Tawa_machine.Resources.smem_bytes
+          u.Tawa_machine.Resources.regs_per_thread_consumer
+          u.Tawa_machine.Resources.regs_per_thread_producer
+          u.Tawa_machine.Resources.total_regs
+          u.Tawa_machine.Resources.num_warp_groups)
+    ks;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let space_kernels family =
+  List.map
+    (fun c ->
+      (Flow.compile ~options:(Autotune.options_of c) (Autotune.kernel_of family c))
+        .Flow.transformed)
+    (Autotune.space family)
+
+(* The four example kernels compiled under every strategy, named by
+   file and options key. *)
+let example_kernels () =
+  List.concat_map
+    (fun f ->
+      List.map
+        (fun strategy ->
+          let options = { Flow.default_options with strategy } in
+          ( Printf.sprintf "%s %s" f (Flow.options_key options),
+            (Flow.compile ~options (load_tw f)).Flow.transformed ))
+        [ Flow.Warp_specialized; Flow.Sw_pipelined 3; Flow.Sync_tma; Flow.Naive ])
+    [ "attention.tw"; "gemm.tw"; "gemm_bias_relu.tw"; "gemm_fp8.tw" ]
+
+let statcheck_points =
+  [
+    ("gemm f16 K=4096 space",
+     (fun () -> space_kernels (Autotune.Gemm (Workloads.paper_gemm 4096))),
+     "446a5d4814abf05cfc8300910d2d4639");
+    ("gemm f8 K=4096 space",
+     (fun () ->
+       space_kernels (Autotune.Gemm (Workloads.paper_gemm ~dtype:Dtype.F8E4M3 4096))),
+     "277f0b7900667a0909a5e0820b0777bc");
+    ("mha full L=4096 space",
+     (fun () ->
+       space_kernels (Autotune.Attention (Workloads.paper_mha ~causal:false 4096))),
+     "b091233ed14151e10d967092681dc93b");
+    ("mha causal L=4096 space",
+     (fun () -> space_kernels (Autotune.Attention (Workloads.paper_mha ~causal:true 4096))),
+     "1772f47cb2c44a368b59f51bb6d514da");
+    ("example .tw kernels x 4 strategies", (fun () -> List.map snd (example_kernels ())),
+     "73680e8615504f1ac5f2ff98bd8afd92");
+  ]
+
 (* ----------------------------- tests ----------------------------- *)
 
 let test_demo (name, build, (want_digest, want_err)) () =
@@ -306,6 +404,9 @@ let test_timing p () =
     Alcotest.(check string) (p.t_name ^ " reference engine") p.t_digest
       (estimate Config.Reference)
 
+let test_statcheck (name, kernels, want) () =
+  Alcotest.(check string) name want (digest_statcheck (kernels ()))
+
 let suites =
   [
     ( "graph.golden",
@@ -320,4 +421,8 @@ let suites =
       List.map
         (fun p -> Alcotest.test_case p.t_name `Quick (test_timing p))
         timing_points );
+    ( "statcheck.golden",
+      List.map
+        (fun ((name, _, _) as p) -> Alcotest.test_case name `Quick (test_statcheck p))
+        statcheck_points );
   ]

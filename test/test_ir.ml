@@ -95,6 +95,31 @@ let test_verifier_rejects_double_def () =
       (Astring.String.is_infix ~affix:"twice" msg)
   | Ok () -> Alcotest.fail "expected double definition error"
 
+(* The binop rule and the non-tile aref payload rules format their
+   messages only when they fail; the text a failure raises is pinned. *)
+let test_verifier_message_text () =
+  let expect what want k =
+    match Verifier.verify_result k with
+    | Error msg -> Alcotest.(check string) what want msg
+    | Ok () -> Alcotest.failf "%s: expected ill-formed" what
+  in
+  expect "binop type mismatch" "binop operand/result types must agree (i32, f32 -> i32)"
+    (Builder.kernel "bad_binop" [ ("x", Types.i32); ("y", Types.f32) ] (fun b ps ->
+         match ps with
+         | [ x; y ] -> ignore (Builder.emit1 b (Op.Binop Op.Add) [ x; y ] Types.i32)
+         | _ -> assert false));
+  let with_aref name f =
+    Builder.kernel name [ ("x", Types.f32) ] (fun b ps ->
+        let ch = Builder.emit1 b (Op.Aref_create 2) [] (Types.aref [ Types.i32 ] 2) in
+        let slot = Builder.const_i b 0 in
+        f b ch slot (List.hd ps))
+  in
+  expect "aref_put payload mismatch" "aref_put payload type mismatch (f32 vs i32)"
+    (with_aref "bad_put" (fun b ch slot x -> Builder.emit0 b Op.Aref_put [ ch; slot; x ]));
+  expect "aref_get result mismatch" "aref_get result type mismatch (f32 vs i32)"
+    (with_aref "bad_get" (fun b ch slot _ ->
+         ignore (Builder.emit1 b Op.Aref_get [ ch; slot ] Types.f32)))
+
 let test_verifier_rejects_bad_yield_arity () =
   let k =
     Builder.kernel "bad_for" [ ("n", Types.i32) ] (fun b ps ->
@@ -387,6 +412,7 @@ let suites =
         Alcotest.test_case "rejects bad dot" `Quick test_verifier_rejects_bad_dot;
         Alcotest.test_case "rejects double def" `Quick test_verifier_rejects_double_def;
         Alcotest.test_case "rejects bad yield" `Quick test_verifier_rejects_bad_yield_arity;
+        Alcotest.test_case "failure message text" `Quick test_verifier_message_text;
       ] );
     ( "ir.printer",
       [

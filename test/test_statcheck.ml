@@ -1,6 +1,9 @@
 (* Statcheck: the clean corpus lints clean, every statcheck mutation is
    flagged on GEMM + attention, the dataflow solver agrees with a naive
    O(n^2) reference on random CFGs (and its fixpoints are idempotent),
+   the bitset lattice agrees with a set model, the scope-first
+   uninit-read lint agrees with the solver on mutants and hand-built
+   out-of-scope uses,
    and the static register/SMEM predictions are a sound, usefully tight
    upper bound on the decode engine's measured high-water marks across
    the four figure kernel families. *)
@@ -152,13 +155,12 @@ let transfer_of g =
   let tbl =
     Array.of_list
       (List.map
-         (fun (_, gen, kill) ->
-           (Dataflow.Int_set.of_list gen, Dataflow.Int_set.of_list kill))
+         (fun (_, gen, kill) -> (Dataflow.Bitset.of_list gen, Dataflow.Bitset.of_list kill))
          g.nodes)
   in
   fun u x ->
     let gen, kill = tbl.(u) in
-    Dataflow.Int_set.union gen (Dataflow.Int_set.diff x kill)
+    Dataflow.Bitset.gen_kill ~gen ~kill x
 
 let solver_matches direction g =
   let graph = graph_of g and transfer = transfer_of g in
@@ -166,7 +168,7 @@ let solver_matches direction g =
   let b = Dataflow.Set_solver.solve_naive ~direction ~graph ~transfer () in
   let eq x y =
     Array.length x = Array.length y
-    && Array.for_all2 Dataflow.Int_set.equal x y
+    && Array.for_all2 Dataflow.Bitset.equal x y
   in
   eq a.Dataflow.Set_solver.input b.Dataflow.Set_solver.input
   && eq a.Dataflow.Set_solver.output b.Dataflow.Set_solver.output
@@ -186,14 +188,14 @@ let fixpoint_idempotent direction g =
       ignore sucs;
       let joined =
         Array.fold_left
-          (fun acc p -> Dataflow.Int_set.union acc r.Dataflow.Set_solver.output.(p))
-          Dataflow.Int_set.empty into.(u)
+          (fun acc p -> Dataflow.Bitset.join acc r.Dataflow.Set_solver.output.(p))
+          Dataflow.Bitset.bottom into.(u)
       in
-      if not (Dataflow.Int_set.equal joined r.Dataflow.Set_solver.input.(u)) then
+      if not (Dataflow.Bitset.equal joined r.Dataflow.Set_solver.input.(u)) then
         ok := false;
       if
         not
-          (Dataflow.Int_set.equal
+          (Dataflow.Bitset.equal
              (transfer u r.Dataflow.Set_solver.input.(u))
              r.Dataflow.Set_solver.output.(u))
       then ok := false)
@@ -214,30 +216,192 @@ let prop_fixpoint =
       fixpoint_idempotent Dataflow.Forward g
       && fixpoint_idempotent Dataflow.Backward g)
 
-(* The IR-level analyses agree with the naive solver on a real compiled
-   kernel's CFG, not just synthetic graphs. *)
+(* The bitset lattice against [Set.Make (Int)] on members that straddle
+   word boundaries (a word holds [Sys.int_size] bits), including sets
+   stored at different widths. *)
+module Iset = Set.Make (Int)
+
+let arb_members =
+  QCheck.(
+    list_of_size Gen.(int_range 0 12)
+      (make ~print:string_of_int
+         Gen.(oneof [ int_range 0 7; int_range 58 68; int_range 120 130; int_range 0 200 ])))
+
+let prop_bitset_model =
+  QCheck.Test.make ~name:"dataflow: bitset ops == Set model" ~count:300
+    QCheck.(quad arb_members arb_members arb_members (int_range 0 200))
+    (fun (a, b, c, i) ->
+      let module B = Dataflow.Bitset in
+      let sa = Iset.of_list a and sb = Iset.of_list b and sc = Iset.of_list c in
+      let ba = B.of_list a and bb = B.of_list b and bc = B.of_list c in
+      let same bs set = B.elements bs = Iset.elements set in
+      let wide = B.join ba (B.of_list [ 201 ]) in
+      same ba sa
+      && List.for_all (fun j -> B.mem ba j = Iset.mem j sa) (List.init 202 Fun.id)
+      && same (B.join ba bb) (Iset.union sa sb)
+      && B.equal ba bb = Iset.equal sa sb
+      && B.subset ba bb = Iset.subset sa sb
+      && same (B.gen_kill ~gen:ba ~kill:bb bc) (Iset.union sa (Iset.diff sc sb))
+      && same (B.add i ba) (Iset.add i sa)
+      && B.equal (B.gen_kill ~gen:B.bottom ~kill:(B.of_list [ 201 ]) wide) ba
+      && B.fold (fun j acc -> acc + j) ba 0 = Iset.fold ( + ) sa 0)
+
+(* The CFG of every example kernel (the four [.tw] sources under each
+   lowering strategy, plus the builder's figure kernels compiled
+   warp-specialized): node masks index exactly the node's defs/uses,
+   and liveness and reaching definitions equal the naive solver. *)
+let example_kernels () =
+  Test_golden.example_kernels ()
+  @ List.map
+      (fun (what, c) -> (what, c.Flow.transformed))
+      [ ("gemm", compile (Kernels.gemm ~tiles:small_tiles ()));
+        ("gemm coop2 d3", compile ~coop:2 ~d:3 (Kernels.gemm ~tiles:small_tiles ()));
+        ("gemm persistent", compile ~persistent:true (Kernels.gemm ~tiles:small_tiles ()));
+        ("attention coarse",
+         compile ~coarse:true (Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ())) ]
+
 let test_ir_analyses_match_naive () =
-  let k = (compile (Kernels.gemm ~tiles:small_tiles ())).Flow.transformed in
+  List.iter
+    (fun (what, k) ->
+      let cfg = Dataflow.Cfg.build k in
+      Array.iter
+        (fun (n : Dataflow.Cfg.node) ->
+          let ids bs =
+            List.sort compare
+              (List.map
+                 (fun i -> Value.id (Dataflow.Cfg.value cfg i))
+                 (Dataflow.Bitset.elements bs))
+          in
+          let sorted vs = List.sort_uniq compare (List.map Value.id vs) in
+          if ids n.Dataflow.Cfg.def_set <> sorted n.Dataflow.Cfg.defs
+             || ids n.Dataflow.Cfg.use_set <> sorted n.Dataflow.Cfg.uses
+          then
+            Alcotest.failf "%s: node %d masks disagree with its defs/uses" what
+              n.Dataflow.Cfg.id)
+        cfg.Dataflow.Cfg.nodes;
+      let check_one name direction transfer fast =
+        let naive =
+          Dataflow.Set_solver.solve_naive ~direction ~graph:cfg.Dataflow.Cfg.graph
+            ~transfer ()
+        in
+        Alcotest.(check bool) (what ^ ": " ^ name) true
+          (Array.for_all2 Dataflow.Bitset.equal fast naive.Dataflow.Set_solver.output)
+      in
+      let live = Dataflow.Liveness.run cfg in
+      check_one "liveness matches naive" Dataflow.Backward
+        (Dataflow.Liveness.transfer cfg) live.Dataflow.Liveness.live_in;
+      let reach = Dataflow.Reaching.run cfg in
+      check_one "reaching matches naive" Dataflow.Forward
+        (Dataflow.Reaching.transfer cfg) reach.Dataflow.Reaching.reach_out;
+      (* Use-def chains: every operand of every node resolves to a def. *)
+      let dangling =
+        List.filter (fun (u : Dataflow.use) -> u.Dataflow.def = None) (Dataflow.use_def cfg)
+      in
+      Alcotest.(check int) (what ^ ": no dangling uses in a clean kernel") 0
+        (List.length dangling))
+    (example_kernels ())
+
+(* -------------------- scope-first uninit-read --------------------- *)
+
+(* What [uninit_reads] reports without its scope walk: the CFG, the
+   reaching fixpoint and [unreachable_uses] alone. *)
+let solver_uninit k =
   let cfg = Dataflow.Cfg.build k in
-  let check_one name direction transfer fast =
-    let naive =
-      Dataflow.Set_solver.solve_naive ~direction ~graph:cfg.Dataflow.Cfg.graph
-        ~transfer ()
-    in
-    Alcotest.(check bool) name true
-      (Array.for_all2 Dataflow.Int_set.equal fast naive.Dataflow.Set_solver.output)
+  Check_dead.diagnose cfg (Dataflow.unreachable_uses cfg (Dataflow.Reaching.run cfg))
+
+let assert_same_uninit what k =
+  let strings ds = List.map Diagnostic.to_string ds in
+  Alcotest.(check (list string)) (what ^ ": scope-first == solver-only")
+    (strings (solver_uninit k)) (strings (Check_dead.uninit_reads k))
+
+(* Every clean kernel takes the scope walk's early exit. *)
+let test_uninit_clean_in_scope () =
+  List.iter
+    (fun (what, k) ->
+      Alcotest.(check bool) (what ^ ": all uses in scope") true
+        (Check_dead.all_uses_in_scope k);
+      Alcotest.(check (list string)) (what ^ ": no solver evidence") []
+        (List.map Diagnostic.to_string (solver_uninit k)))
+    (example_kernels ())
+
+(* Every statcheck and arefcheck mutant of every example kernel, and
+   every single-op deletion from the compiled GEMM and attention. *)
+let test_uninit_mutants () =
+  let bases = example_kernels () in
+  let flagged = ref 0 in
+  let check what k =
+    assert_same_uninit what k;
+    if solver_uninit k <> [] then incr flagged
   in
-  let live = Dataflow.Liveness.run cfg in
-  check_one "liveness matches naive" Dataflow.Backward
-    (Dataflow.Liveness.transfer cfg) live.Dataflow.Liveness.live_in;
-  let reach = Dataflow.Reaching.run cfg in
-  check_one "reaching matches naive" Dataflow.Forward
-    (Dataflow.Reaching.transfer cfg) reach.Dataflow.Reaching.reach_out;
-  (* Use-def chains: every operand of every node resolves to a def. *)
-  let dangling =
-    List.filter (fun (u : Dataflow.use) -> u.Dataflow.def = None) (Dataflow.use_def cfg)
+  List.iter
+    (fun (bname, base) ->
+      List.iter
+        (fun (mu : Mutate.t) ->
+          match mu.Mutate.apply base with
+          | Some mutant -> check (Printf.sprintf "%s on %s" mu.Mutate.name bname) mutant
+          | None -> ())
+        (Mutate.statcheck_all @ Mutate.all))
+    bases;
+  List.iter
+    (fun (bname, base) ->
+      let n = Kernel.count_ops base in
+      for i = 0 to n - 1 do
+        let k = Kernel.clone base in
+        let victim =
+          List.nth (List.rev (Op.fold_region (fun acc o -> o :: acc) [] k.Kernel.body)) i
+        in
+        ignore (Mutate.remove_ops (fun o -> o == victim) k);
+        check (Printf.sprintf "%s without op %d" bname i) k
+      done)
+    (List.filter (fun (n, _) -> n = "gemm" || n = "attention coarse") bases);
+  Alcotest.(check bool) "some mutants have uninit-read evidence" true (!flagged > 0)
+
+(* Hand-built out-of-scope uses: what the solver says about each, and
+   that the scope walk defers to it. *)
+let test_uninit_out_of_scope () =
+  let i32 () = Value.fresh Types.i32 in
+  let const v = Op.mk (Op.Const_int 1) ~results:[ v ] in
+  let add x y = Op.mk (Op.Binop Op.Add) ~operands:[ x; y ] ~results:[ i32 () ] in
+  let kernel ?(params = []) ops =
+    Kernel.create ~name:"hand" ~params ~body:(Op.single_block_region ops)
   in
-  Alcotest.(check int) "no dangling uses in a clean kernel" 0 (List.length dangling)
+  let case what k want =
+    Alcotest.(check bool) (what ^ ": out of scope") false (Check_dead.all_uses_in_scope k);
+    assert_same_uninit what k;
+    Alcotest.(check (list string)) (what ^ ": severities") want
+      (List.map
+         (fun (d : Diagnostic.t) -> Diagnostic.severity_to_string d.Diagnostic.severity)
+         (Check_dead.uninit_reads k))
+  in
+  (* An operand no op defines. *)
+  let n = i32 () in
+  case "dangling operand" (kernel ~params:[ n ] [ add n (i32 ()) ]) [ "error" ];
+  (* A loop body reads a value defined later in the same body: the
+     back-edge carries it, so the solver finds no unreachable use. *)
+  let lb = i32 () and ub = i32 () and step = i32 () and iv = i32 () and later = i32 () in
+  let loop =
+    Op.mk Op.For ~operands:[ lb; ub; step ]
+      ~regions:
+        [ Op.single_block_region ~params:[ iv ] [ add iv later; const later; Op.mk Op.Yield ] ]
+  in
+  case "loop use of a later def" (kernel [ const lb; const ub; const step; loop ]) [];
+  (* A value defined in one warp-group partition, read in another. *)
+  let x = i32 () in
+  let wg =
+    Op.mk Op.Warp_group
+      ~regions:[ Op.single_block_region [ const x ]; Op.single_block_region [ add x x ] ]
+  in
+  case "cross-partition use" (kernel [ wg ]) [ "warning"; "warning" ];
+  (* A value defined in one [If] branch, read in the other. *)
+  let c = Value.fresh (Types.scalar Dtype.I1) and y = i32 () in
+  let branch =
+    Op.mk Op.If ~operands:[ c ]
+      ~regions:
+        [ Op.single_block_region [ const y; Op.mk Op.Yield ];
+          Op.single_block_region [ add y y; Op.mk Op.Yield ] ]
+  in
+  case "sibling-branch use" (kernel [ Op.mk (Op.Const_int 1) ~results:[ c ]; branch ])
+    [ "warning"; "warning" ]
 
 (* --------------- static vs measured (differential) ---------------- *)
 
@@ -344,10 +508,16 @@ let suites =
           `Quick test_statcheck_mutations;
         Alcotest.test_case "diagnostics sort deterministically" `Quick
           test_diagnostic_sort ] );
-    qsuite "statcheck.dataflow" [ prop_solver_forward; prop_solver_backward; prop_fixpoint ];
+    qsuite "statcheck.dataflow"
+      [ prop_solver_forward; prop_solver_backward; prop_fixpoint; prop_bitset_model ];
     ( "statcheck.dataflow-ir",
       [ Alcotest.test_case "IR analyses match the naive solver" `Quick
           test_ir_analyses_match_naive ] );
+    ( "statcheck.uninit",
+      [ Alcotest.test_case "clean kernels take the scope walk" `Quick
+          test_uninit_clean_in_scope;
+        Alcotest.test_case "mutants: scope-first == solver-only" `Quick test_uninit_mutants;
+        Alcotest.test_case "hand-built out-of-scope uses" `Quick test_uninit_out_of_scope ] );
     ( "statcheck.differential",
       [ Alcotest.test_case "gemm static bounds measured" `Quick test_differential_gemm;
         Alcotest.test_case "attention static bounds measured" `Quick
